@@ -51,10 +51,11 @@ class Conv2d : public Layer {
   index_t out_channels_, kernel_, stride_, pad_;
   Rng* rng_;
   ParamBlock params_;
-  ConvGeometry geom_;
+  // Geometry plus im2col offset tables, built once in infer_shape.
+  ConvPlan plan_;
   // Per-sample im2col cache from forward — scalar kernel tier only. The
   // SIMD tiers fuse im2col into the packed conv GEMM (gemm_packed.hpp) and
-  // keep this empty; backward regenerates patches from the layer input.
+  // never fill it; backward regenerates patches from the layer input.
   std::vector<Matrix> cols_;
 };
 

@@ -50,10 +50,11 @@ void packed_gram_nt(const Matrix& a, Matrix& c);
 
 // ---- Tier-dispatched vector helpers -----------------------------------
 // These dispatch on kern::active() internally; the scalar tier runs the
-// plain ascending loop (bitwise identical to the seed kernels). vmul and
-// vscale are elementwise and therefore bitwise identical across tiers;
-// vdot uses lane-partial accumulators in SIMD tiers (fixed, deterministic
-// reduction order within a tier, reassociated relative to scalar).
+// plain ascending loop (bitwise identical to the seed kernels). vmul,
+// vscale and vadd_where_positive are elementwise and therefore bitwise
+// identical across tiers; vdot uses lane-partial accumulators in SIMD tiers
+// (fixed, deterministic reduction order within a tier, reassociated
+// relative to scalar).
 
 /// a[i] *= b[i].
 void vmul(real_t* a, const real_t* b, index_t n);
@@ -61,13 +62,34 @@ void vmul(real_t* a, const real_t* b, index_t n);
 void vscale(real_t* dst, const real_t* src, real_t s, index_t n);
 /// Dot product of two contiguous vectors.
 real_t vdot(const real_t* a, const real_t* b, index_t n);
+/// a[i] += b[i] where x[i] > 0, a[i] untouched elsewhere (ReLU backward).
+/// Elementwise and branch-free in the SIMD tiers: bitwise across tiers.
+void vadd_where_positive(real_t* a, const real_t* b, const real_t* x,
+                         index_t n);
+
+// ---- Per-thread scratch arenas -----------------------------------------
+
+/// Scratch slots, chosen so that buffers alive at the same time on one
+/// thread never alias.
+enum ScratchSlot : int {
+  kScratchGemmB = 0,      ///< caller-side B pack of the packed_gemm_* drivers
+  kScratchGemmA = 1,      ///< chunk-side A pack of the packed_gemm_* drivers
+  kScratchConvB = 2,      ///< fused-conv B pack
+  kScratchConvA = 3,      ///< fused-conv A pack
+  kScratchConvPlane = 4,  ///< zero-bordered sample plane (ConvPlan::pad)
+};
+
+/// This thread's scratch buffer for `slot`. The conv slots are used inside
+/// conv's parallel chunks, which never run a packed_gemm_* of their own.
+std::vector<real_t>& tl_scratch(int slot);
 
 // ---- Fused-im2col convolution (SIMD tiers) ----------------------------
-// The conv GEMM consumes im2col patches straight from the NCHW sample:
-// pack_b generates each patch element on the fly, so no per-sample patch
-// matrix (the old Conv2d::cols_ cache) is ever materialized. These
-// functions are serial by design — Conv2d parallelizes over samples
-// (forward/dgrad) and output channels (wgrad) around them.
+// The conv GEMM consumes im2col patches straight from the sample: each call
+// copies it into a zero-bordered kScratchConvPlane plane and pack_b reads
+// patch elements through the layer's ConvPlan offset tables, so no
+// per-sample patch matrix is ever materialized. These functions are serial
+// by design — Conv2d parallelizes over samples (forward/dgrad) and output
+// channels (wgrad) around them.
 
 /// Prepacked conv weight operand. `data` holds MR (A-side) or NR (B-side)
 /// interleaved panels of W_main per KC block; `bias` is w(:, patch)
@@ -92,13 +114,13 @@ PackedW pack_conv_dgrad_w(const Matrix& w_aug);
 /// bias, patches fused. capture_row != nullptr receives the spatial-sum
 /// capture Σ_p cols(p, j) for j in [0, patch) (caller owns the bias slot).
 void packed_conv_forward(const PackedW& pw, const real_t* x,
-                         const ConvGeometry& g, real_t* out_plane,
+                         const ConvPlan& plan, real_t* out_plane,
                          real_t* capture_row);
 
 /// gw rows [o0, o1) += gout_plane[o0:o1, :] · [cols(x) | 1] for one sample
 /// (the augmented ones column accumulates the bias gradient).
 void packed_conv_wgrad(const real_t* gout_plane, const real_t* x,
-                       const ConvGeometry& g, Matrix& gw, index_t o0,
+                       const ConvPlan& plan, Matrix& gw, index_t o0,
                        index_t o1);
 
 /// dcols (s x patch, pre-zeroed) += gout_planeᵀ · W_main for one sample.

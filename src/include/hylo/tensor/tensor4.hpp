@@ -93,12 +93,36 @@ struct ConvGeometry {
   index_t patch_size() const { return in_c * kernel_h * kernel_w; }
 };
 
+/// Branch-free im2col addressing for one geometry (DESIGN.md §13), built
+/// once per layer. A sample copied into a zero-bordered (C, hp, wp) plane
+/// `xp` has im2col element (p, j) at xp[koff[j] + poff[p]]: no divides and
+/// no bounds tests in the gather/scatter loops.
+struct ConvPlan {
+  ConvGeometry geom;
+  index_t hp = 0, wp = 0;      ///< padded plane: in_h + 2*pad x in_w + 2*pad
+  std::vector<index_t> koff;   ///< patch coord j: (c*hp + ky)*wp + kx
+  std::vector<index_t> poff;   ///< output position p: oy*stride*wp + ox*stride
+
+  ConvPlan() = default;
+  explicit ConvPlan(const ConvGeometry& g);
+
+  index_t padded_size() const { return geom.in_c * hp * wp; }
+  /// Copy `sample` into the interior of a zero-bordered plane held in `buf`
+  /// (resized to padded_size()); returns buf.data().
+  real_t* pad(const real_t* sample, std::vector<real_t>& buf) const;
+  /// Copy the interior of the padded plane `xp` back over `sample`.
+  void unpad(const real_t* xp, real_t* sample) const;
+};
+
 /// im2col for one sample: returns (out_h*out_w) x (C*kh*kw); row p holds the
 /// receptive field of output position p, zero-padded at the borders.
+void im2col(const real_t* sample, const ConvPlan& plan, Matrix& cols);
 void im2col(const real_t* sample, const ConvGeometry& g, Matrix& cols);
 
 /// Accumulate the transpose operation: scatter the rows of `cols` back into
-/// the (C,H,W) sample gradient (+=). Inverse data-movement of im2col.
+/// the (C,H,W) sample gradient (+=). Inverse data-movement of im2col; each
+/// element receives its additions in (p, j)-ascending order.
+void col2im_add(const Matrix& cols, const ConvPlan& plan, real_t* sample);
 void col2im_add(const Matrix& cols, const ConvGeometry& g, real_t* sample);
 
 }  // namespace hylo

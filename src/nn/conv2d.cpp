@@ -21,27 +21,29 @@ Conv2d::Conv2d(index_t out_channels, index_t kernel, index_t stride,
 
 Shape Conv2d::infer_shape(const std::vector<Shape>& in) {
   HYLO_CHECK(in.size() == 1, "Conv2d takes one input");
-  geom_ = ConvGeometry{.in_c = in[0].c, .in_h = in[0].h, .in_w = in[0].w,
-                       .kernel_h = kernel_, .kernel_w = kernel_,
-                       .stride = stride_, .pad = pad_};
-  HYLO_CHECK(geom_.out_h() > 0 && geom_.out_w() > 0,
+  const ConvGeometry geom{.in_c = in[0].c, .in_h = in[0].h, .in_w = in[0].w,
+                          .kernel_h = kernel_, .kernel_w = kernel_,
+                          .stride = stride_, .pad = pad_};
+  HYLO_CHECK(geom.out_h() > 0 && geom.out_w() > 0,
              "Conv2d output collapses: in " << in[0].h << "x" << in[0].w
                                             << " k=" << kernel_);
-  const index_t patch = geom_.patch_size();
+  plan_ = ConvPlan(geom);
+  const index_t patch = geom.patch_size();
   params_.d_in = patch;
   params_.w.resize(out_channels_, patch + 1);
   params_.gw.resize(out_channels_, patch + 1);
   const real_t std = std::sqrt(2.0 / static_cast<real_t>(patch));
   for (index_t o = 0; o < out_channels_; ++o)
     for (index_t j = 0; j < patch; ++j) params_.w(o, j) = std * rng_->normal();
-  return Shape{out_channels_, geom_.out_h(), geom_.out_w()};
+  return Shape{out_channels_, geom.out_h(), geom.out_w()};
 }
 
 void Conv2d::forward(const std::vector<const Tensor4*>& in, Tensor4& out,
                      const PassContext& ctx) {
   const Tensor4& x = *in[0];
-  const index_t n = x.n(), oh = geom_.out_h(), ow = geom_.out_w();
-  const index_t s = oh * ow, patch = geom_.patch_size();
+  const ConvGeometry& geom = plan_.geom;
+  const index_t n = x.n(), oh = geom.out_h(), ow = geom.out_w();
+  const index_t s = oh * ow, patch = geom.patch_size();
   out.resize(n, out_channels_, oh, ow);
   if (ctx.capture) {
     params_.a_samples.resize(n, patch + 1);
@@ -51,8 +53,6 @@ void Conv2d::forward(const std::vector<const Tensor4*>& in, Tensor4& out,
     // Fused-im2col path (DESIGN.md §13): the conv GEMM consumes patches
     // straight from the NCHW sample, so no per-sample patch matrix is ever
     // materialized — backward re-fuses from in[0] instead of a cols_ cache.
-    cols_.clear();
-    cols_.shrink_to_fit();
     const kern::PackedW pw = kern::pack_conv_forward_w(params_.w);
     par::parallel_for(
         0, n, 1,
@@ -60,7 +60,7 @@ void Conv2d::forward(const std::vector<const Tensor4*>& in, Tensor4& out,
           for (index_t i = n0; i < n1; ++i) {
             real_t* capture =
                 ctx.capture ? params_.a_samples.row_ptr(i) : nullptr;
-            kern::packed_conv_forward(pw, x.sample_ptr(i), geom_,
+            kern::packed_conv_forward(pw, x.sample_ptr(i), plan_,
                                       out.sample_ptr(i), capture);
             if (capture != nullptr) capture[patch] = static_cast<real_t>(s);
           }
@@ -83,7 +83,7 @@ void Conv2d::forward(const std::vector<const Tensor4*>& in, Tensor4& out,
         Matrix y;  // s x c_out scratch
         for (index_t i = n0; i < n1; ++i) {
           Matrix& cols = cols_[static_cast<std::size_t>(i)];
-          im2col(x.sample_ptr(i), geom_, cols);
+          im2col(x.sample_ptr(i), plan_, cols);
           // y = cols · W_mainᵀ + bias. W columns [0, patch) are the kernel,
           // column `patch` is the bias.
           y.resize(s, out_channels_);
@@ -127,8 +127,9 @@ void Conv2d::backward(const std::vector<const Tensor4*>& in,
                       const Tensor4& /*out*/, const Tensor4& gout,
                       const std::vector<Tensor4*>& grad_in,
                       const PassContext& ctx) {
-  const index_t n = gout.n(), oh = geom_.out_h(), ow = geom_.out_w();
-  const index_t s = oh * ow, patch = geom_.patch_size();
+  const ConvGeometry& geom = plan_.geom;
+  const index_t n = gout.n(), oh = geom.out_h(), ow = geom.out_w();
+  const index_t s = oh * ow, patch = geom.patch_size();
   Tensor4& gin = *grad_in[0];
   if (ctx.capture) params_.g_samples.resize(n, out_channels_);
 
@@ -146,7 +147,7 @@ void Conv2d::backward(const std::vector<const Tensor4*>& in,
         [&](index_t o0, index_t o1) {
           for (index_t i = 0; i < n; ++i)
             kern::packed_conv_wgrad(gout.sample_ptr(i), x.sample_ptr(i),
-                                    geom_, params_.gw, o0, o1);
+                                    plan_, params_.gw, o0, o1);
           if (ctx.capture) {
             for (index_t o = o0; o < o1; ++o)
               for (index_t i = 0; i < n; ++i) {
@@ -172,8 +173,8 @@ void Conv2d::backward(const std::vector<const Tensor4*>& in,
           Matrix dcols;
           for (index_t i = n0; i < n1; ++i) {
             dcols.resize(s, patch);  // resize zero-fills
-            kern::packed_conv_dcols(gout.sample_ptr(i), pwd, geom_, dcols);
-            col2im_add(dcols, geom_, gin.sample_ptr(i));
+            kern::packed_conv_dcols(gout.sample_ptr(i), pwd, geom, dcols);
+            col2im_add(dcols, plan_, gin.sample_ptr(i));
           }
         },
         "nn/conv2d_dgrad", audit::sample_block(gin));
@@ -232,7 +233,7 @@ void Conv2d::backward(const std::vector<const Tensor4*>& in,
               for (index_t j = 0; j < patch; ++j) dp[j] += g * wo[j];
             }
           }
-          col2im_add(dcols, geom_, gin.sample_ptr(i));
+          col2im_add(dcols, plan_, gin.sample_ptr(i));
         }
       },
       "nn/conv2d_dgrad", audit::sample_block(gin));

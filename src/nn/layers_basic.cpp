@@ -3,6 +3,7 @@
 #include <limits>
 
 #include "hylo/nn/layers.hpp"
+#include "hylo/tensor/gemm_packed.hpp"
 
 namespace hylo {
 
@@ -17,16 +18,19 @@ void ReLU::forward(const std::vector<const Tensor4*>& in, Tensor4& out,
                    const PassContext&) {
   const Tensor4& x = *in[0];
   out.resize(x.n(), x.c(), x.h(), x.w());
-  for (index_t i = 0; i < x.size(); ++i) out[i] = x[i] > 0.0 ? x[i] : 0.0;
+  const real_t* xs = x.data();
+  real_t* y = out.data();
+  const index_t n = x.size();
+  for (index_t i = 0; i < n; ++i) y[i] = xs[i] > 0.0 ? xs[i] : 0.0;
 }
 
 void ReLU::backward(const std::vector<const Tensor4*>& in, const Tensor4&,
                     const Tensor4& gout, const std::vector<Tensor4*>& grad_in,
                     const PassContext&) {
+  // Masked add instead of a branch on the data-dependent sign of x.
   const Tensor4& x = *in[0];
-  Tensor4& gin = *grad_in[0];
-  for (index_t i = 0; i < x.size(); ++i)
-    if (x[i] > 0.0) gin[i] += gout[i];
+  kern::vadd_where_positive(grad_in[0]->data(), gout.data(), x.data(),
+                            x.size());
 }
 
 // ----------------------------------------------------------- MaxPool2d ----

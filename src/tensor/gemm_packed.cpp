@@ -15,6 +15,11 @@
 
 namespace hylo::kern {
 
+std::vector<real_t>& tl_scratch(int slot) {
+  static thread_local std::vector<real_t> bufs[kScratchConvPlane + 1];
+  return bufs[slot];
+}
+
 namespace {
 
 // Cache blocking: KC-deep panels keep one MRxKC A panel (16 KB at MR=8)
@@ -141,6 +146,35 @@ __attribute__((target("avx512f"))) void vscale_avx512(real_t* dst,
   for (; i < n; ++i) dst[i] = s * src[i];
 }
 
+__attribute__((target("avx2"))) void vadd_where_positive_avx2(
+    real_t* a, const real_t* b, const real_t* x, index_t n) {
+  const __m256d zero = _mm256_setzero_pd();
+  index_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d ai = _mm256_loadu_pd(a + i);
+    const __m256d pos =
+        _mm256_cmp_pd(_mm256_loadu_pd(x + i), zero, _CMP_GT_OQ);
+    _mm256_storeu_pd(
+        a + i,
+        _mm256_blendv_pd(ai, _mm256_add_pd(ai, _mm256_loadu_pd(b + i)), pos));
+  }
+  for (; i < n; ++i) a[i] = x[i] > 0.0 ? a[i] + b[i] : a[i];
+}
+
+__attribute__((target("avx512f"))) void vadd_where_positive_avx512(
+    real_t* a, const real_t* b, const real_t* x, index_t n) {
+  const __m512d zero = _mm512_setzero_pd();
+  index_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m512d ai = _mm512_loadu_pd(a + i);
+    const __mmask8 pos =
+        _mm512_cmp_pd_mask(_mm512_loadu_pd(x + i), zero, _CMP_GT_OQ);
+    _mm512_storeu_pd(a + i,
+                     _mm512_mask_add_pd(ai, pos, ai, _mm512_loadu_pd(b + i)));
+  }
+  for (; i < n; ++i) a[i] = x[i] > 0.0 ? a[i] + b[i] : a[i];
+}
+
 // Lane-partial dot products: 4/8 running lane sums folded pairwise at the
 // end, plus a scalar tail — a fixed reduction tree, deterministic within
 // the tier (reassociated relative to the scalar ascending loop).
@@ -240,6 +274,18 @@ void vscale_neon(real_t* dst, const real_t* src, real_t s, index_t n) {
   for (; i < n; ++i) dst[i] = s * src[i];
 }
 
+void vadd_where_positive_neon(real_t* a, const real_t* b, const real_t* x,
+                              index_t n) {
+  const float64x2_t zero = vdupq_n_f64(0.0);
+  index_t i = 0;
+  for (; i + 2 <= n; i += 2) {
+    const float64x2_t ai = vld1q_f64(a + i);
+    const uint64x2_t pos = vcgtq_f64(vld1q_f64(x + i), zero);
+    vst1q_f64(a + i, vbslq_f64(pos, vaddq_f64(ai, vld1q_f64(b + i)), ai));
+  }
+  for (; i < n; ++i) a[i] = x[i] > 0.0 ? a[i] + b[i] : a[i];
+}
+
 real_t vdot_neon(const real_t* a, const real_t* b, index_t n) {
   float64x2_t acc = vdupq_n_f64(0.0);
   index_t i = 0;
@@ -276,15 +322,6 @@ TierCfg tier_cfg(Tier t) {
   HYLO_CHECK(false, "packed GEMM requires a SIMD kernel tier (active: "
                         << tier_name(t) << ")");
   return {};  // unreachable
-}
-
-/// Per-thread pack scratch, indexed so that buffers alive at the same time
-/// on one thread never alias: 0 = caller-side B pack, 1 = chunk-side A
-/// pack, 2/3 = fused-conv B/A packs (used inside conv's parallel chunks,
-/// which never run a packed_gemm_* of their own).
-std::vector<real_t>& tl_scratch(int which) {
-  static thread_local std::vector<real_t> bufs[4];
-  return bufs[which];
 }
 
 /// Pack rows [i0, i0+mc) x [k0, k0+kc) of a logical operand into MR-tall
@@ -369,7 +406,7 @@ void gemm_driver(index_t m, index_t n, index_t k, const SrcA& srcA,
   const index_t mr = cfg.mr, nr = cfg.nr;
   const index_t npanels = (n + nr - 1) / nr;
 
-  std::vector<real_t>& bpack = tl_scratch(0);
+  std::vector<real_t>& bpack = tl_scratch(kScratchGemmB);
   bpack.resize(static_cast<std::size_t>(k * npanels * nr));
   for (index_t k0 = 0; k0 < k; k0 += kKC) {
     const index_t kc = std::min(kKC, k - k0);
@@ -382,7 +419,7 @@ void gemm_driver(index_t m, index_t n, index_t k, const SrcA& srcA,
   par::parallel_for(
       0, m, mr,
       [&](index_t i0, index_t i1) {
-        std::vector<real_t>& apack = tl_scratch(1);
+        std::vector<real_t>& apack = tl_scratch(kScratchGemmA);
         // pack_a pads the row count up to a whole number of MR panels.
         const index_t mc_pad =
             ((std::min(kMC, i1 - i0) + mr - 1) / mr) * mr;
@@ -414,46 +451,50 @@ void gemm_driver(index_t m, index_t n, index_t k, const SrcA& srcA,
 }
 
 // ---- Fused im2col pack sources ----------------------------------------
+// Both read the zero-bordered plane `xp` (ConvPlan::pad) through the plan's
+// offset tables: element (p, j) of the sample's im2col is xp[koff[j] +
+// poff[p]], so neither loop divides or bounds-tests.
 
 /// Forward B pack: logical operand colsᵀ (k = patch coordinate, lane =
-/// output position), elements generated straight from the NCHW sample.
-/// `capture` accumulates the spatial sum Σ_p cols(p, j) per patch
-/// coordinate while the values stream through the pack (panel-major, lane
-/// ascending — deterministic at any thread count because the whole pack is
-/// per sample inside one chunk).
-void pack_b_conv_forward(real_t* dst, const real_t* x, const ConvGeometry& g,
-                         index_t k0, index_t kc, index_t s, index_t nr,
+/// output position). `capture` accumulates the spatial sum Σ_p cols(p, j)
+/// per patch coordinate while the values stream through the pack
+/// (panel-major, lane ascending — deterministic at any thread count because
+/// the whole pack is per sample inside one chunk).
+void pack_b_conv_forward(real_t* dst, const real_t* xp, const ConvPlan& plan,
+                         index_t k0, index_t kc, index_t nr,
                          real_t* capture) {
-  const index_t ow = g.out_w();
-  const index_t hw = g.in_h * g.in_w;
-  const index_t khw = g.kernel_h * g.kernel_w;
-  index_t oy[kMaxNR], ox[kMaxNR];
+  const index_t ow = plan.geom.out_w();
+  const index_t s = static_cast<index_t>(plan.poff.size());
+  const index_t* koff = plan.koff.data() + k0;
   index_t off = 0;
   for (index_t p0 = 0; p0 < s; p0 += nr) {
     const index_t lanes = std::min(nr, s - p0);
-    for (index_t l = 0; l < lanes; ++l) {
-      oy[l] = (p0 + l) / ow;
-      ox[l] = (p0 + l) % ow;
-    }
-    for (index_t kk = 0; kk < kc; ++kk) {
-      const index_t j = k0 + kk;
-      const index_t ch = j / khw, rem = j % khw;
-      const index_t ky = rem / g.kernel_w, kx = rem % g.kernel_w;
-      const real_t* plane = x + ch * hw;
-      real_t* out = dst + off + kk * nr;
-      real_t acc = 0.0;
-      for (index_t l = 0; l < nr; ++l) {
-        real_t v = 0.0;
-        if (l < lanes) {
-          const index_t iy = oy[l] * g.stride + ky - g.pad;
-          const index_t ix = ox[l] * g.stride + kx - g.pad;
-          if (iy >= 0 && iy < g.in_h && ix >= 0 && ix < g.in_w)
-            v = plane[iy * g.in_w + ix];
-        }
-        out[l] = v;
-        acc += v;
+    const index_t* poff = plan.poff.data() + p0;
+    real_t* pan = dst + off;
+    if (plan.geom.stride == 1 && lanes == nr && p0 % ow + nr <= ow) {
+      // The panel's positions are adjacent columns of one output row, so
+      // each patch coordinate's lanes are nr contiguous plane elements.
+      const real_t* base = xp + poff[0];
+      for (index_t kk = 0; kk < kc; ++kk) {
+        const real_t* src = base + koff[kk];
+        real_t* out = pan + kk * nr;
+        for (index_t l = 0; l < nr; ++l) out[l] = src[l];
       }
-      if (capture != nullptr) capture[j] += acc;
+    } else {
+      for (index_t kk = 0; kk < kc; ++kk) {
+        const real_t* src = xp + koff[kk];
+        real_t* out = pan + kk * nr;
+        for (index_t l = 0; l < lanes; ++l) out[l] = src[poff[l]];
+        for (index_t l = lanes; l < nr; ++l) out[l] = 0.0;
+      }
+    }
+    if (capture != nullptr) {
+      for (index_t kk = 0; kk < kc; ++kk) {
+        const real_t* out = pan + kk * nr;
+        real_t acc = 0.0;
+        for (index_t l = 0; l < nr; ++l) acc += out[l];
+        capture[k0 + kk] += acc;
+      }
     }
     off += kc * nr;
   }
@@ -461,42 +502,23 @@ void pack_b_conv_forward(real_t* dst, const real_t* x, const ConvGeometry& g,
 
 /// Weight-gradient B pack: logical operand [cols | 1] (k = output position,
 /// lane = patch coordinate; lane == patch is the augmented ones column).
-void pack_b_conv_t(real_t* dst, const real_t* x, const ConvGeometry& g,
-                   index_t k0, index_t kc, index_t naug, index_t nr) {
-  const index_t ow = g.out_w();
-  const index_t hw = g.in_h * g.in_w;
-  const index_t khw = g.kernel_h * g.kernel_w;
-  const index_t patch = naug - 1;
-  index_t ch[kMaxNR], ky[kMaxNR], kx[kMaxNR];
+void pack_b_conv_t(real_t* dst, const real_t* xp, const ConvPlan& plan,
+                   index_t k0, index_t kc, index_t nr) {
+  const index_t patch = static_cast<index_t>(plan.koff.size());
+  const index_t* poff = plan.poff.data() + k0;
   index_t off = 0;
-  for (index_t j0 = 0; j0 < naug; j0 += nr) {
-    const index_t lanes = std::min(nr, naug - j0);
-    for (index_t l = 0; l < lanes; ++l) {
-      const index_t j = j0 + l;
-      if (j == patch) continue;  // ones column, handled below
-      ch[l] = j / khw;
-      const index_t rem = j % khw;
-      ky[l] = rem / g.kernel_w;
-      kx[l] = rem % g.kernel_w;
-    }
+  for (index_t j0 = 0; j0 <= patch; j0 += nr) {
+    // Lanes [0, lanes) are patch coordinates; the rest of the panel is the
+    // ones column (if it falls here) followed by zero padding.
+    const index_t lanes = std::min(nr, patch - j0);
+    real_t tail[kMaxNR] = {};
+    if (patch - j0 < nr) tail[patch - j0] = 1.0;
+    const index_t* koff = plan.koff.data() + j0;
     for (index_t kk = 0; kk < kc; ++kk) {
-      const index_t p = k0 + kk;
-      const index_t oy = p / ow, ox = p % ow;
+      const real_t* base = xp + poff[kk];
       real_t* out = dst + off + kk * nr;
-      for (index_t l = 0; l < nr; ++l) {
-        real_t v = 0.0;
-        if (l < lanes) {
-          if (j0 + l == patch) {
-            v = 1.0;
-          } else {
-            const index_t iy = oy * g.stride + ky[l] - g.pad;
-            const index_t ix = ox * g.stride + kx[l] - g.pad;
-            if (iy >= 0 && iy < g.in_h && ix >= 0 && ix < g.in_w)
-              v = x[ch[l] * hw + iy * g.in_w + ix];
-          }
-        }
-        out[l] = v;
-      }
+      for (index_t l = 0; l < lanes; ++l) out[l] = base[koff[l]];
+      for (index_t l = lanes; l < nr; ++l) out[l] = tail[l];
     }
     off += kc * nr;
   }
@@ -589,7 +611,7 @@ void packed_gram_nt(const Matrix& a, Matrix& c) {
   const index_t npanels = (m + nr - 1) / nr;
   const real_t* pa = a.data();
 
-  std::vector<real_t>& bpack = tl_scratch(0);
+  std::vector<real_t>& bpack = tl_scratch(kScratchGemmB);
   bpack.resize(static_cast<std::size_t>(std::max<index_t>(k, 1) * npanels * nr));
   for (index_t k0 = 0; k0 < k; k0 += kKC) {
     const index_t kc = std::min(kKC, k - k0);
@@ -603,7 +625,7 @@ void packed_gram_nt(const Matrix& a, Matrix& c) {
   par::parallel_for(
       0, m, mr,
       [&](index_t i0, index_t i1) {
-        std::vector<real_t>& apack = tl_scratch(1);
+        std::vector<real_t>& apack = tl_scratch(kScratchGemmA);
         const index_t mc_pad =
             ((std::min(kMC, i1 - i0) + mr - 1) / mr) * mr;
         apack.resize(static_cast<std::size_t>(
@@ -713,6 +735,28 @@ real_t vdot(const real_t* a, const real_t* b, index_t n) {
   return acc;
 }
 
+void vadd_where_positive(real_t* a, const real_t* b, const real_t* x,
+                         index_t n) {
+  switch (active()) {
+#if defined(__x86_64__) || defined(__i386__)
+    case Tier::kAvx512:
+      vadd_where_positive_avx512(a, b, x, n);
+      return;
+    case Tier::kAvx2:
+      vadd_where_positive_avx2(a, b, x, n);
+      return;
+#endif
+#if defined(__aarch64__)
+    case Tier::kNeon:
+      vadd_where_positive_neon(a, b, x, n);
+      return;
+#endif
+    default:
+      break;
+  }
+  for (index_t i = 0; i < n; ++i) a[i] = x[i] > 0.0 ? a[i] + b[i] : a[i];
+}
+
 // ---- Fused-im2col convolution ------------------------------------------
 
 PackedW pack_conv_forward_w(const Matrix& w_aug) {
@@ -757,7 +801,7 @@ PackedW pack_conv_dgrad_w(const Matrix& w_aug) {
 }
 
 void packed_conv_forward(const PackedW& pw, const real_t* x,
-                         const ConvGeometry& g, real_t* out_plane,
+                         const ConvPlan& plan, real_t* out_plane,
                          real_t* capture_row) {
   HYLO_CHECK(pw.tier == active(),
              "conv weights packed for tier '" << tier_name(pw.tier)
@@ -765,7 +809,7 @@ void packed_conv_forward(const PackedW& pw, const real_t* x,
                                               << tier_name(active()) << "'");
   const TierCfg cfg = tier_cfg(active());
   const index_t c_out = pw.rows, patch = pw.cols;
-  const index_t s = g.out_h() * g.out_w();
+  const index_t s = static_cast<index_t>(plan.poff.size());
   const index_t npan_m = (c_out + cfg.mr - 1) / cfg.mr;
   const index_t npan_s = (s + cfg.nr - 1) / cfg.nr;
 
@@ -774,34 +818,37 @@ void packed_conv_forward(const PackedW& pw, const real_t* x,
               pw.bias[static_cast<std::size_t>(o)]);
   if (capture_row != nullptr) std::fill(capture_row, capture_row + patch, 0.0);
 
-  std::vector<real_t>& bbuf = tl_scratch(2);
+  const real_t* xp = plan.pad(x, tl_scratch(kScratchConvPlane));
+  std::vector<real_t>& bbuf = tl_scratch(kScratchConvB);
   bbuf.resize(static_cast<std::size_t>(std::min(kKC, patch) * npan_s * cfg.nr));
   for (index_t k0 = 0; k0 < patch; k0 += kKC) {
     const index_t kc = std::min(kKC, patch - k0);
-    pack_b_conv_forward(bbuf.data(), x, g, k0, kc, s, cfg.nr, capture_row);
+    pack_b_conv_forward(bbuf.data(), xp, plan, k0, kc, cfg.nr, capture_row);
     const real_t* ablk = pw.data.data() + k0 * npan_m * cfg.mr;
     conv_tiles(cfg, kc, ablk, bbuf.data(), out_plane, s, 0, c_out, s);
   }
 }
 
 void packed_conv_wgrad(const real_t* gout_plane, const real_t* x,
-                       const ConvGeometry& g, Matrix& gw, index_t o0,
+                       const ConvPlan& plan, Matrix& gw, index_t o0,
                        index_t o1) {
   const TierCfg cfg = tier_cfg(active());
   const index_t naug = gw.cols();
-  const index_t s = g.out_h() * g.out_w();
+  const index_t s = static_cast<index_t>(plan.poff.size());
+  HYLO_CHECK(naug == plan.geom.patch_size() + 1, "conv gw shape");
   const index_t npan_n = (naug + cfg.nr - 1) / cfg.nr;
 
-  std::vector<real_t>& bbuf = tl_scratch(2);
-  std::vector<real_t>& abuf = tl_scratch(3);
+  std::vector<real_t>& bbuf = tl_scratch(kScratchConvB);
+  std::vector<real_t>& abuf = tl_scratch(kScratchConvA);
   bbuf.resize(static_cast<std::size_t>(std::min(kKC, s) * npan_n * cfg.nr));
   const index_t mc_max =
       ((o1 - o0 + cfg.mr - 1) / cfg.mr) * cfg.mr;  // padded panel rows
   abuf.resize(static_cast<std::size_t>(std::min(kKC, s) * mc_max));
 
+  const real_t* xp = plan.pad(x, tl_scratch(kScratchConvPlane));
   for (index_t k0 = 0; k0 < s; k0 += kKC) {
     const index_t kc = std::min(kKC, s - k0);
-    pack_b_conv_t(bbuf.data(), x, g, k0, kc, naug, cfg.nr);
+    pack_b_conv_t(bbuf.data(), xp, plan, k0, kc, cfg.nr);
     pack_a(abuf.data(), o0, o1 - o0, k0, kc, cfg.mr,
            [gout_plane, s](index_t o, index_t kk) {
              return gout_plane[o * s + kk];
@@ -824,7 +871,7 @@ void packed_conv_dcols(const real_t* gout_plane, const PackedW& pw,
   HYLO_CHECK(dcols.rows() == s && dcols.cols() == patch, "dcols shape");
   const index_t npan_n = (patch + cfg.nr - 1) / cfg.nr;
 
-  std::vector<real_t>& abuf = tl_scratch(3);
+  std::vector<real_t>& abuf = tl_scratch(kScratchConvA);
   for (index_t k0 = 0; k0 < c_out; k0 += kKC) {
     const index_t kc = std::min(kKC, c_out - k0);
     const real_t* bblk = pw.data.data() + k0 * npan_n * cfg.nr;

@@ -9,7 +9,9 @@
 // scalar materialized-im2col path to the same bounds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -363,6 +365,84 @@ TEST_F(KernelTiers, FusedConvMatchesMaterializedIm2col) {
   }
 }
 
+// ---- Packed conv vs packed GEMM over a materialized im2col ---------------
+
+TEST_F(KernelTiers, PackedConvBitwiseEqualsPackedGemmOverIm2col) {
+  if (simd_tiers().empty()) GTEST_SKIP() << "no SIMD tier on this host";
+  struct Case {
+    index_t c, kernel, stride, pad;
+  };
+  // Every kernel x stride x pad on a non-square 7x5 input (output counts
+  // such as 35 and 12 are not multiples of NR), plus a 12-channel 5x5
+  // patch of 300 that crosses a KC=256 block.
+  std::vector<Case> cases;
+  for (const index_t k : {1, 3, 5})
+    for (const index_t st : {1, 2})
+      for (const index_t pd : {0, 1, 2}) cases.push_back({3, k, st, pd});
+  cases.push_back({12, 5, 1, 2});
+
+  const index_t c_out = 10;  // not a multiple of MR: edge row tiles
+  for (const Tier tier : simd_tiers()) {
+    kern::set_tier(tier);
+    for (const Case& cs : cases) {
+      const ConvGeometry g{.in_c = cs.c, .in_h = 7, .in_w = 5,
+                           .kernel_h = cs.kernel, .kernel_w = cs.kernel,
+                           .stride = cs.stride, .pad = cs.pad};
+      const ConvPlan plan(g);
+      const index_t patch = g.patch_size(), s = g.out_h() * g.out_w();
+      SCOPED_TRACE(::testing::Message()
+                   << kern::tier_name(tier) << " c=" << cs.c
+                   << " k=" << cs.kernel << " stride=" << cs.stride
+                   << " pad=" << cs.pad);
+      Rng rng(static_cast<std::uint64_t>(
+          600 + 31 * cs.c + 7 * cs.kernel + 3 * cs.stride + cs.pad));
+      const Matrix w_aug = testutil::random_matrix(rng, c_out, patch + 1);
+      const Matrix x = testutil::random_matrix(rng, 2, cs.c * 7 * 5);
+      const Matrix gout = testutil::random_matrix(rng, 2, c_out * s);
+      Matrix w_main(c_out, patch);
+      for (index_t o = 0; o < c_out; ++o)
+        for (index_t j = 0; j < patch; ++j) w_main(o, j) = w_aug(o, j);
+
+      // Forward: out = W_main · colsᵀ onto C preloaded with the bias.
+      const kern::PackedW pw = kern::pack_conv_forward_w(w_aug);
+      Matrix out(c_out, s), ref(c_out, s), cols;
+      std::vector<real_t> capture(static_cast<std::size_t>(patch));
+      kern::packed_conv_forward(pw, x.row_ptr(0), plan, out.data(),
+                                capture.data());
+      im2col(x.row_ptr(0), g, cols);
+      for (index_t o = 0; o < c_out; ++o)
+        for (index_t p = 0; p < s; ++p) ref(o, p) = w_aug(o, patch);
+      kern::packed_gemm_nt(w_main, cols, ref, 1.0);
+      EXPECT_TRUE(bitwise_equal(out, ref));
+      for (index_t j = 0; j < patch; ++j) {
+        real_t sum = 0.0;
+        for (index_t p = 0; p < s; ++p) sum += cols(p, j);
+        EXPECT_NEAR(capture[static_cast<std::size_t>(j)], sum, 1e-12);
+      }
+
+      // Weight gradient over two samples: per sample a beta = 1 GEMM of
+      // gout_i with [cols_i | 1]. The conv side splits its rows at an MR
+      // boundary, as the channel-parallel caller may.
+      Matrix gw(c_out, patch + 1), gw_ref(c_out, patch + 1);
+      for (index_t i = 0; i < 2; ++i) {
+        kern::packed_conv_wgrad(gout.row_ptr(i), x.row_ptr(i), plan, gw, 0, 8);
+        kern::packed_conv_wgrad(gout.row_ptr(i), x.row_ptr(i), plan, gw, 8,
+                                c_out);
+        im2col(x.row_ptr(i), g, cols);
+        Matrix cols_aug(s, patch + 1), gout_i(c_out, s);
+        for (index_t p = 0; p < s; ++p) {
+          for (index_t j = 0; j < patch; ++j) cols_aug(p, j) = cols(p, j);
+          cols_aug(p, patch) = 1.0;
+        }
+        std::copy(gout.row_ptr(i), gout.row_ptr(i) + c_out * s,
+                  gout_i.data());
+        kern::packed_gemm_nn(gout_i, cols_aug, gw_ref, 1.0);
+      }
+      EXPECT_TRUE(bitwise_equal(gw, gw_ref));
+    }
+  }
+}
+
 // ---- Vector helpers ----------------------------------------------------
 
 TEST_F(KernelTiers, ElementwiseHelpersBitwiseIdenticalAcrossTiers) {
@@ -398,6 +478,34 @@ TEST_F(KernelTiers, ElementwiseHelpersBitwiseIdenticalAcrossTiers) {
     const real_t d =
         kern::vdot(a0.data(), b.data(), static_cast<index_t>(a0.size()));
     EXPECT_NEAR(d, dot_scalar, 1e-12 * std::abs(dot_scalar) + 1e-12)
+        << kern::tier_name(tier);
+  }
+}
+
+TEST_F(KernelTiers, MaskedAddBitwiseIdenticalAcrossTiers) {
+  // Signed zeros and a NaN in the mask operand must leave a untouched; the
+  // odd length exercises every tier's scalar tail.
+  Rng rng(104);
+  const index_t n = 131;
+  std::vector<real_t> a0(n), b(n), x(n);
+  for (auto& v : a0) v = rng.normal();
+  for (auto& v : b) v = rng.normal();
+  for (auto& v : x) v = rng.normal();
+  x[3] = 0.0;
+  x[4] = -0.0;
+  x[5] = std::nan("");
+  a0[6] = -0.0;
+  x[6] = -1.0;
+
+  std::vector<real_t> ref = a0;
+  for (index_t i = 0; i < n; ++i)
+    if (x[static_cast<std::size_t>(i)] > 0.0)
+      ref[static_cast<std::size_t>(i)] += b[static_cast<std::size_t>(i)];
+  for (const Tier tier : all_tiers()) {
+    kern::set_tier(tier);
+    std::vector<real_t> a = a0;
+    kern::vadd_where_positive(a.data(), b.data(), x.data(), n);
+    EXPECT_EQ(std::memcmp(a.data(), ref.data(), sizeof(real_t) * a.size()), 0)
         << kern::tier_name(tier);
   }
 }

@@ -3,6 +3,8 @@
 // correctness depends on.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "hylo/common/rng.hpp"
 #include "hylo/tensor/tensor4.hpp"
 #include "test_util.hpp"
@@ -128,6 +130,53 @@ TEST(Tensor4, Col2ImAccumulates) {
   // Calling again accumulates.
   col2im_add(ones, g, out.sample_ptr(0));
   EXPECT_EQ(out.at(0, 0, 1, 1), 8.0);
+}
+
+// col2im_add onto a sample that already holds values must equal a
+// bounds-checked scatter that adds in (position, patch coordinate) order,
+// bit for bit; im2col must equal the matching bounds-checked gather.
+TEST(Tensor4, Col2ImOntoNonZeroSampleMatchesBoundsCheckedReference) {
+  for (const index_t kernel : {1, 3, 5})
+    for (const index_t stride : {1, 2})
+      for (const index_t pad : {0, 1, 2}) {
+        const index_t c = 2, h = 7, w = 5;
+        const ConvGeometry g{.in_c = c, .in_h = h, .in_w = w,
+                             .kernel_h = kernel, .kernel_w = kernel,
+                             .stride = stride, .pad = pad};
+        SCOPED_TRACE(::testing::Message() << "k=" << kernel << " stride="
+                                          << stride << " pad=" << pad);
+        const index_t oh = g.out_h(), ow = g.out_w();
+        Rng rng(static_cast<std::uint64_t>(40 + 9 * kernel + 3 * stride + pad));
+        const Matrix dcols =
+            testutil::random_matrix(rng, oh * ow, g.patch_size());
+        Tensor4 x(1, c, h, w);
+        for (index_t i = 0; i < x.size(); ++i) x[i] = rng.normal();
+        Tensor4 got = x, ref = x;
+
+        Matrix cols;
+        im2col(x.sample_ptr(0), g, cols);
+        col2im_add(dcols, g, got.sample_ptr(0));
+        for (index_t oy = 0; oy < oh; ++oy)
+          for (index_t ox = 0; ox < ow; ++ox) {
+            const index_t p = oy * ow + ox;
+            index_t j = 0;
+            for (index_t ch = 0; ch < c; ++ch)
+              for (index_t ky = 0; ky < kernel; ++ky)
+                for (index_t kx = 0; kx < kernel; ++kx, ++j) {
+                  const index_t iy = oy * stride + ky - pad;
+                  const index_t ix = ox * stride + kx - pad;
+                  const bool inside = iy >= 0 && iy < h && ix >= 0 && ix < w;
+                  const real_t want = inside ? x.at(0, ch, iy, ix) : 0.0;
+                  EXPECT_EQ(std::memcmp(&cols(p, j), &want, sizeof(real_t)),
+                            0);
+                  if (inside) ref.at(0, ch, iy, ix) += dcols(p, j);
+                }
+          }
+        EXPECT_EQ(std::memcmp(got.data(), ref.data(),
+                              sizeof(real_t) *
+                                  static_cast<std::size_t>(got.size())),
+                  0);
+      }
 }
 
 }  // namespace
