@@ -45,6 +45,12 @@
 //                          HYLO_RECOVER, e.g. --recover 5:40:0.25; needs
 //                          --checkpoint-dir/-every; the flag overrides the
 //                          environment spec — see DESIGN.md §16)
+//   --help                (print the option table and exit 0)
+//
+// An unknown option, a missing value or a malformed number (`--epochs x`,
+// `--lr 0.1x`) prints a message naming the option and exits 2.
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <map>
@@ -54,6 +60,92 @@
 
 namespace {
 using namespace hylo;
+
+enum class Kind { kFlag, kInt, kReal, kText };
+
+struct Option {
+  const char* name;
+  Kind kind;
+  const char* help;
+};
+
+// Every option hylo_train accepts; anything else is a usage error.
+const Option kOptions[] = {
+    {"model", Kind::kText, "mlp|c3f1|resnet32|resnet50|densenet|unet"},
+    {"optimizer", Kind::kText, "SGD|ADAM|KFAC|EKFAC|KBFGS-L|SNGD|HyLo"},
+    {"world", Kind::kInt, "simulated worker count (default 1)"},
+    {"epochs", Kind::kInt, "training epochs (default 8)"},
+    {"batch", Kind::kInt, "per-worker batch size (default 16)"},
+    {"max-iters", Kind::kInt, "iteration cap per epoch (-1: none)"},
+    {"seed", Kind::kInt, "data and weight seed (default 42)"},
+    {"lr", Kind::kReal, "learning rate"},
+    {"weight-decay", Kind::kReal, "L2 weight decay (default 5e-4)"},
+    {"damping", Kind::kReal, "curvature damping (default 0.3)"},
+    {"freq", Kind::kInt, "curvature refresh period in iterations"},
+    {"rank-ratio", Kind::kReal, "HyLo low-rank ratio (default 0.1)"},
+    {"kl-clip", Kind::kReal, "KL trust-region clip (default 0.01)"},
+    {"wire-bytes", Kind::kReal, "bytes per wire scalar (4, 2, 2.625)"},
+    {"interconnect", Kind::kText, "mist|p2|loopback"},
+    {"target", Kind::kReal, "early-stop test metric (-1: none)"},
+    {"telemetry", Kind::kText, "DIR for run.jsonl + trace.json"},
+    {"no-step-log", Kind::kFlag, "with --telemetry: epoch records only"},
+    {"faults", Kind::kText, "fault spec seed:rate[:mix] (as HYLO_FAULTS)"},
+    {"health", Kind::kFlag, "training-health probes + alert engine"},
+    {"health-cadence", Kind::kInt, "probe every Nth refresh (implies --health)"},
+    {"strict-health", Kind::kFlag, "exit 3 on a critical alert"},
+    {"profiling", Kind::kFlag, "dump the comp/comm profiler at the end"},
+    {"grad-norm", Kind::kFlag, "print HyLo's delta-norm history"},
+    {"rank-analysis", Kind::kFlag, "print the last low rank used"},
+    {"checkpoint", Kind::kText, "PATH to save the final weights"},
+    {"checkpoint-dir", Kind::kText, "DIR for crash-safe run snapshots"},
+    {"checkpoint-every", Kind::kInt, "snapshot cadence in iterations (0: off)"},
+    {"checkpoint-keep", Kind::kInt, "snapshots retained (default 3)"},
+    {"resume", Kind::kText, "PATH of a run snapshot to continue from"},
+    {"recover", Kind::kText, "on|off|BUDGET[:FO_ITERS[:LR_BACKOFF]]"},
+    {"help", Kind::kFlag, "print this table and exit"},
+};
+
+/// A command line hylo_train does not understand (exit status 2).
+struct UsageError {
+  std::string message;
+};
+
+const Option* find_option(const std::string& name) {
+  for (const Option& o : kOptions)
+    if (name == o.name) return &o;
+  return nullptr;
+}
+
+void print_usage(std::ostream& os) {
+  os << "usage: hylo_train [--option value | --flag]...\n";
+  for (const Option& o : kOptions) {
+    std::string lhs = std::string("  --") + o.name;
+    if (o.kind == Kind::kInt) lhs += " N";
+    if (o.kind == Kind::kReal) lhs += " X";
+    if (o.kind == Kind::kText) lhs += " S";
+    os << lhs << std::string(lhs.size() < 26 ? 26 - lhs.size() : 1, ' ')
+       << o.help << "\n";
+  }
+}
+
+// The whole value must be a finite number (an integer for Kind::kInt).
+void check_number(const Option& o, const std::string& value) {
+  const char* begin = value.c_str();
+  char* end = nullptr;
+  errno = 0;
+  bool ok = !value.empty();
+  if (o.kind == Kind::kInt) {
+    (void)std::strtoll(begin, &end, 10);
+  } else {
+    const double v = std::strtod(begin, &end);
+    ok = ok && std::isfinite(v);
+  }
+  ok = ok && errno == 0 && end != nullptr && *end == '\0';
+  if (!ok)
+    throw UsageError{std::string("--") + o.name + " expects " +
+                     (o.kind == Kind::kInt ? "an integer" : "a number") +
+                     ", got '" + value + "'"};
+}
 
 struct Args {
   std::map<std::string, std::string> kv;
@@ -68,26 +160,28 @@ struct Args {
     return it == kv.end() ? def : std::stod(it->second);
   }
   index_t geti(const std::string& key, index_t def) const {
-    return static_cast<index_t>(getd(key, static_cast<double>(def)));
+    const auto it = kv.find(key);
+    return it == kv.end() ? def : std::stoll(it->second);
   }
   bool has(const std::string& key) const { return flags.count(key) > 0; }
 };
 
 Args parse(int argc, char** argv) {
   Args a;
-  const std::map<std::string, bool> known_flags = {
-      {"profiling", true},  {"grad-norm", true},     {"rank-analysis", true},
-      {"no-step-log", true}, {"health", true},       {"strict-health", true}};
   for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    HYLO_CHECK(arg.rfind("--", 0) == 0, "unexpected argument " << arg);
-    arg = arg.substr(2);
-    if (known_flags.count(arg) > 0) {
-      a.flags[arg] = true;
-    } else {
-      HYLO_CHECK(i + 1 < argc, "missing value for --" << arg);
-      a.kv[arg] = argv[++i];
+    const std::string arg = argv[i];
+    if (arg.rfind("--", 0) != 0)
+      throw UsageError{"unexpected argument '" + arg + "'"};
+    const Option* o = find_option(arg.substr(2));
+    if (o == nullptr) throw UsageError{"unknown option " + arg};
+    if (o->kind == Kind::kFlag) {
+      a.flags[o->name] = true;
+      continue;
     }
+    if (i + 1 >= argc) throw UsageError{"missing value for " + arg};
+    const std::string value = argv[++i];
+    if (o->kind != Kind::kText) check_number(*o, value);
+    a.kv[o->name] = value;
   }
   return a;
 }
@@ -96,7 +190,18 @@ Args parse(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   using namespace hylo;
-  const Args args = parse(argc, argv);
+  Args args;
+  try {
+    args = parse(argc, argv);
+  } catch (const UsageError& e) {
+    std::cerr << "hylo_train: " << e.message
+              << " (run hylo_train --help for the option table)\n";
+    return 2;
+  }
+  if (args.has("help")) {
+    print_usage(std::cout);
+    return 0;
+  }
 
   const std::string model = args.get("model", "resnet32");
   const std::string optimizer = args.get("optimizer", "HyLo");

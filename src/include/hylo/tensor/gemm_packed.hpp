@@ -1,8 +1,10 @@
 #pragma once
 /// \file gemm_packed.hpp
 /// Packed, cache-blocked GEMM with explicit SIMD microkernels — the
-/// DESIGN.md §13 fast path behind hylo::gemm/gram_nt and the fused-im2col
-/// convolution. Layout (BLIS-style):
+/// DESIGN.md §13 fast path behind hylo::gemm/gemm_tn/gemm_nt, gram_nt and
+/// gram_tn, the blocked Cholesky's trailing update (and through it the
+/// potri-style SPD inverse), and the fused-im2col convolution. Layout
+/// (BLIS-style):
 ///
 ///   * B is packed once per call into KC-deep blocks of NR-wide column
 ///     panels (`bpack[q][kk*NR + c]`), A is packed per (MC, KC) block into
@@ -10,9 +12,10 @@
 ///   * An MRxNR register-tiled microkernel (8x4 AVX2 / 8x8 AVX-512 /
 ///     8x4 NEON, selected by hylo::kern::active()) accumulates
 ///     C-tile += Apanel · Bpanel with the k loop innermost.
-///   * Edge tiles (m % MR, n % NR, and gram_nt's diagonal straddle) run the
-///     same microkernel on a copy-in/copy-out scratch tile, so every element
-///     sees the identical fma chain regardless of tiling.
+///   * Edge tiles (m % MR, n % NR, and the symmetric driver's diagonal
+///     straddle) run the same microkernel on a copy-in/copy-out scratch
+///     tile, so every element sees the identical fma chain regardless of
+///     tiling.
 ///
 /// Determinism: for each C element the accumulation is strictly ascending in
 /// k (KC blocks outermost, kk inside the microkernel), independent of the
@@ -48,13 +51,23 @@ void packed_gemm_nt(const Matrix& a, const Matrix& b, Matrix& c, real_t alpha);
 /// C(i,j) and C(j,i) are the same double. C must be m x m, zeroed.
 void packed_gram_nt(const Matrix& a, Matrix& c);
 
+/// C = Aᵀ·A (A: k x m, C: m x m, zeroed), exact-symmetric through the same
+/// driver as packed_gram_nt. Both packs read A column-wise in place, so no
+/// transposed copy is made.
+void packed_gram_tn(const Matrix& a, Matrix& c);
+
+/// Blocked-Cholesky trailing update on a square W: the upper triangle
+/// (j >= i) of W(r0:, r0:) -= P·Pᵀ with P = W(r0:, k0:k1), k1 <= r0. Reads
+/// only the panel, writes only the block's upper triangle (no mirror).
+void packed_syrk_update(Matrix& w, index_t r0, index_t k0, index_t k1);
+
 // ---- Tier-dispatched vector helpers -----------------------------------
 // These dispatch on kern::active() internally; the scalar tier runs the
 // plain ascending loop (bitwise identical to the seed kernels). vmul,
 // vscale and vadd_where_positive are elementwise and therefore bitwise
 // identical across tiers; vdot uses lane-partial accumulators in SIMD tiers
 // (fixed, deterministic reduction order within a tier, reassociated
-// relative to scalar).
+// relative to scalar) and vaxpy fuses its multiply-add there.
 
 /// a[i] *= b[i].
 void vmul(real_t* a, const real_t* b, index_t n);
@@ -62,6 +75,10 @@ void vmul(real_t* a, const real_t* b, index_t n);
 void vscale(real_t* dst, const real_t* src, real_t s, index_t n);
 /// Dot product of two contiguous vectors.
 real_t vdot(const real_t* a, const real_t* b, index_t n);
+/// y[i] += s * x[i]. The SIMD tiers fuse the multiply-add (one rounding,
+/// tail included), so results are bitwise within a tier whatever n or the
+/// alignment, and differ from the scalar tier's two-rounding loop.
+void vaxpy(real_t* y, const real_t* x, real_t s, index_t n);
 /// a[i] += b[i] where x[i] > 0, a[i] untouched elsewhere (ReLU backward).
 /// Elementwise and branch-free in the SIMD tiers: bitwise across tiers.
 void vadd_where_positive(real_t* a, const real_t* b, const real_t* x,

@@ -209,6 +209,10 @@ Matrix gram_nt(const Matrix& a) {
 Matrix gram_tn(const Matrix& a) {
   const index_t m = a.rows(), k = a.cols();
   Matrix c(k, k);
+  if (kern::active() != kern::Tier::kScalar) {
+    kern::packed_gram_tn(a, c);
+    return c;
+  }
   // Rank-1 accumulation over rows of A; the r loop stays outermost inside
   // each thread's private block of output rows, so every element sums in
   // r-ascending (serial) order. Fill upper triangle then mirror.

@@ -16,10 +16,13 @@
 #include <vector>
 
 #include "hylo/common/check.hpp"
+#include "hylo/linalg/cholesky.hpp"
 #include "hylo/linalg/kernels.hpp"
 #include "hylo/nn/layers.hpp"
 #include "hylo/nn/loss.hpp"
 #include "hylo/nn/network.hpp"
+#include "hylo/obs/health.hpp"
+#include "hylo/optim/second_order.hpp"
 #include "hylo/par/thread_pool.hpp"
 #include "hylo/tensor/gemm_packed.hpp"
 #include "hylo/tensor/kernel_dispatch.hpp"
@@ -507,6 +510,281 @@ TEST_F(KernelTiers, MaskedAddBitwiseIdenticalAcrossTiers) {
     kern::vadd_where_positive(a.data(), b.data(), x.data(), n);
     EXPECT_EQ(std::memcmp(a.data(), ref.data(), sizeof(real_t) * a.size()), 0)
         << kern::tier_name(tier);
+  }
+}
+
+TEST_F(KernelTiers, FusedAxpyIsElementwiseFmaInSimdTiers) {
+  // Every length from empty to past two AVX-512 vectors, so each element
+  // lands in a vector body in some calls and in the scalar tail in others.
+  Rng rng(105);
+  std::vector<real_t> y0(19), x(19);
+  for (auto& v : y0) v = rng.normal();
+  for (auto& v : x) v = rng.normal();
+  const real_t s = -0.37;
+  for (const Tier tier : simd_tiers()) {
+    kern::set_tier(tier);
+    for (index_t n = 0; n <= 19; ++n) {
+      std::vector<real_t> y = y0;
+      kern::vaxpy(y.data(), x.data(), s, n);
+      for (index_t i = 0; i < 19; ++i) {
+        const std::size_t u = static_cast<std::size_t>(i);
+        const real_t want = i < n ? std::fma(s, x[u], y0[u]) : y0[u];
+        EXPECT_EQ(std::memcmp(&y[u], &want, sizeof(real_t)), 0)
+            << kern::tier_name(tier) << " n=" << n << " i=" << i;
+      }
+    }
+  }
+}
+
+// ---- Symmetric factor kernels (KFAC refresh) -------------------------
+// gram_tn, try_cholesky and the SPD inverse. The blocked Cholesky's block
+// size is 64, so n = 64 runs the unblocked loop and 65 and 257 cross one
+// or more block boundaries.
+
+const index_t kFactorSizes[] = {7, 64, 65, 257};
+
+// A damped covariance S = AᵀA/m + lambda·I over m = n + 43 samples: SPD,
+// with eigenvalues in about [lambda, 4 + lambda].
+Matrix damped_gram(Rng& rng, index_t n, real_t lambda) {
+  const index_t m = n + 43;
+  Matrix s = gram_tn(testutil::random_matrix(rng, m, n));
+  s *= 1.0 / static_cast<real_t>(m);
+  add_diagonal(s, lambda);
+  return s;
+}
+
+bool exactly_symmetric(const Matrix& c) {
+  for (index_t i = 0; i < c.rows(); ++i)
+    for (index_t j = 0; j < i; ++j) {
+      const real_t lo = c(i, j), up = c(j, i);
+      if (std::memcmp(&lo, &up, sizeof(real_t)) != 0) return false;
+    }
+  return true;
+}
+
+TEST_F(KernelTiers, SymmetricFactorKernelsBitwiseAcrossThreadCountsWithinTier) {
+  for (const index_t n : kFactorSizes) {
+    Rng rng(300 + static_cast<std::uint64_t>(n));
+    const Matrix a = testutil::random_matrix(rng, 2 * n + 3, n);
+    for (const Tier tier : all_tiers()) {
+      kern::set_tier(tier);
+      par::set_num_threads(1);
+      const Matrix s = damped_gram(rng, n, 0.1);
+      const Matrix r_gram = gram_tn(a);
+      Matrix r_chol;
+      ASSERT_TRUE(try_cholesky(s, r_chol)) << kern::tier_name(tier) << " n=" << n;
+      const Matrix r_inv = spd_inverse(s);
+      for (const int t : {2, 7}) {
+        par::set_num_threads(t);
+        EXPECT_TRUE(bitwise_equal(gram_tn(a), r_gram))
+            << kern::tier_name(tier) << " gram_tn n=" << n << " @" << t;
+        Matrix l;
+        ASSERT_TRUE(try_cholesky(s, l));
+        EXPECT_TRUE(bitwise_equal(l, r_chol))
+            << kern::tier_name(tier) << " try_cholesky n=" << n << " @" << t;
+        EXPECT_TRUE(bitwise_equal(spd_inverse(s), r_inv))
+            << kern::tier_name(tier) << " spd_inverse n=" << n << " @" << t;
+      }
+    }
+  }
+}
+
+TEST_F(KernelTiers, SymmetricFactorKernelsSimdMatchScalar) {
+  for (const index_t n : kFactorSizes) {
+    Rng rng(400 + static_cast<std::uint64_t>(n));
+    const Matrix a = testutil::random_matrix(rng, 2 * n + 3, n);
+    kern::set_tier(Tier::kScalar);
+    // lambda = 0.05 caps cond(S) near 4.05 / 0.05 = 81, far under 1e4.
+    const Matrix s = damped_gram(rng, n, 0.05);
+    const Matrix r_gram = gram_tn(a);
+    const Matrix r_inv = spd_inverse(s);
+    Matrix r_chol;
+    ASSERT_TRUE(try_cholesky(s, r_chol));
+
+    for (const Tier tier : simd_tiers()) {
+      kern::set_tier(tier);
+      EXPECT_LT(norm_rel_err(r_gram, gram_tn(a)), 1e-13)
+          << kern::tier_name(tier) << " gram_tn n=" << n;
+      Matrix l;
+      ASSERT_TRUE(try_cholesky(s, l));
+      EXPECT_LT(norm_rel_err(r_chol, l), 1e-12)
+          << kern::tier_name(tier) << " try_cholesky n=" << n;
+      for (index_t i = 0; i < n; ++i)
+        for (index_t j = i + 1; j < n; ++j)
+          ASSERT_EQ(l(i, j), 0.0) << kern::tier_name(tier) << " L upper";
+      const Matrix x = spd_inverse(s);
+      EXPECT_LT(norm_rel_err(r_inv, x), 1e-10)
+          << kern::tier_name(tier) << " spd_inverse n=" << n;
+      kern::set_tier(Tier::kScalar);
+      Matrix resid = matmul(s, x);
+      add_diagonal(resid, -1.0);
+      EXPECT_LE(frobenius_norm(resid), 1e-10 * static_cast<real_t>(n))
+          << kern::tier_name(tier) << " |S X - I| n=" << n;
+    }
+  }
+}
+
+TEST_F(KernelTiers, SymmetricFactorKernelsExactlySymmetric) {
+  for (const index_t n : kFactorSizes) {
+    Rng rng(500 + static_cast<std::uint64_t>(n));
+    const Matrix a = testutil::random_matrix(rng, n + 5, n);
+    const Matrix s = damped_gram(rng, n, 0.1);
+    for (const Tier tier : all_tiers()) {
+      kern::set_tier(tier);
+      EXPECT_TRUE(exactly_symmetric(gram_tn(a)))
+          << kern::tier_name(tier) << " gram_tn n=" << n;
+      if (tier != Tier::kScalar) {
+        EXPECT_TRUE(exactly_symmetric(spd_inverse(s)))
+            << kern::tier_name(tier) << " spd_inverse n=" << n;
+        EXPECT_TRUE(exactly_symmetric(damped_spd_inverse(s, 0.01)))
+            << kern::tier_name(tier) << " damped_spd_inverse n=" << n;
+      }
+    }
+  }
+}
+
+TEST_F(KernelTiers, BlockedCholeskyKeepsFailureContract) {
+  const index_t n = 257;
+  Rng rng(600);
+  const Matrix spd = damped_gram(rng, n, 0.1);
+  // Row 200 (inside the fourth block) is the first non-positive pivot: the
+  // leading 200 x 200 block is untouched and still SPD.
+  Matrix bad_pivot = spd;
+  bad_pivot(200, 200) = -1.0;
+  Matrix nan_entry = spd;
+  nan_entry(230, 3) = std::nan("");
+  // Exactly rank 2: every pivot past the second is rounding noise.
+  const Matrix x2 = testutil::random_matrix(rng, n, 2);
+  const Matrix rank2 = matmul_nt(x2, x2);
+  Matrix leading(200, 200);
+  for (index_t i = 0; i < 200; ++i)
+    for (index_t j = 0; j < 200; ++j) leading(i, j) = spd(i, j);
+
+  for (const Tier tier : all_tiers()) {
+    kern::set_tier(tier);
+    Matrix l;
+    EXPECT_TRUE(try_cholesky(leading, l)) << kern::tier_name(tier);
+    EXPECT_FALSE(try_cholesky(bad_pivot, l))
+        << kern::tier_name(tier) << " pivot at row 200";
+    EXPECT_FALSE(try_cholesky(nan_entry, l))
+        << kern::tier_name(tier) << " NaN at (230, 3)";
+    EXPECT_FALSE(try_cholesky(rank2, l)) << kern::tier_name(tier) << " rank 2";
+    const Matrix ld = damped_cholesky(rank2, 0.0);
+    EXPECT_EQ(obs::count_nonfinite(ld), 0) << kern::tier_name(tier);
+    // The escalated factor reproduces the rank-2 Gram up to the small shift
+    // damped_cholesky added to its diagonal.
+    Matrix resid = matmul_nt(ld, ld);
+    resid -= rank2;
+    for (index_t i = 0; i < n; ++i) resid(i, i) = 0.0;
+    EXPECT_LT(frobenius_norm(resid) / frobenius_norm(rank2), 1e-10)
+        << kern::tier_name(tier);
+  }
+}
+
+// Copies of the seed loops the scalar tier must keep bit for bit.
+Matrix seed_gram_tn(const Matrix& a) {
+  const index_t m = a.rows(), k = a.cols();
+  Matrix c(k, k);
+  for (index_t r = 0; r < m; ++r) {
+    const real_t* ar = a.row_ptr(r);
+    for (index_t i = 0; i < k; ++i) {
+      const real_t v = ar[i];
+      real_t* ci = c.row_ptr(i);
+      for (index_t j = i; j < k; ++j) ci[j] += v * ar[j];
+    }
+  }
+  for (index_t i = 0; i < k; ++i)
+    for (index_t j = 0; j < i; ++j) c(i, j) = c(j, i);
+  return c;
+}
+
+bool seed_try_cholesky(const Matrix& a, Matrix& l) {
+  const index_t n = a.rows();
+  l.resize(n, n);
+  for (index_t j = 0; j < n; ++j) {
+    real_t diag = a(j, j);
+    const real_t* lj = l.row_ptr(j);
+    for (index_t k = 0; k < j; ++k) diag -= lj[k] * lj[k];
+    if (!(diag > 0.0) || !std::isfinite(diag)) return false;
+    const real_t ljj = std::sqrt(diag);
+    l(j, j) = ljj;
+    const real_t inv = 1.0 / ljj;
+    for (index_t i = j + 1; i < n; ++i) {
+      real_t v = a(i, j);
+      const real_t* li = l.row_ptr(i);
+      for (index_t k = 0; k < j; ++k) v -= li[k] * lj[k];
+      l(i, j) = v * inv;
+    }
+  }
+  return true;
+}
+
+Matrix seed_damped_spd_inverse(const Matrix& c, real_t damping) {
+  Matrix work = c;
+  const real_t scale =
+      1e-8 * (std::abs(trace(c)) / static_cast<real_t>(c.rows()) + 1.0);
+  real_t added = 0.0;
+  real_t next = damping;
+  Matrix l;
+  bool ok = false;
+  for (int k = 0; k < 4 && !ok; ++k) {
+    add_diagonal(work, next - added);
+    added = next;
+    ok = seed_try_cholesky(work, l);
+    next = std::max(next * 10.0, scale);
+  }
+  EXPECT_TRUE(ok);
+  // cholesky_solve(L, I): forward then backward substitution.
+  const index_t n = l.rows();
+  Matrix x = Matrix::identity(n);
+  for (index_t i = 0; i < n; ++i) {
+    const real_t* li = l.row_ptr(i);
+    real_t* xi = x.row_ptr(i);
+    for (index_t kk = 0; kk < i; ++kk) {
+      const real_t lik = li[kk];
+      if (lik == 0.0) continue;
+      const real_t* xk = x.row_ptr(kk);
+      for (index_t c2 = 0; c2 < n; ++c2) xi[c2] -= lik * xk[c2];
+    }
+    const real_t inv = 1.0 / li[i];
+    for (index_t c2 = 0; c2 < n; ++c2) xi[c2] *= inv;
+  }
+  for (index_t i = n - 1; i >= 0; --i) {
+    real_t* xi = x.row_ptr(i);
+    for (index_t kk = i + 1; kk < n; ++kk) {
+      const real_t lki = l(kk, i);
+      if (lki == 0.0) continue;
+      const real_t* xk = x.row_ptr(kk);
+      for (index_t c2 = 0; c2 < n; ++c2) xi[c2] -= lki * xk[c2];
+    }
+    const real_t inv = 1.0 / l(i, i);
+    for (index_t c2 = 0; c2 < n; ++c2) xi[c2] *= inv;
+  }
+  return x;
+}
+
+TEST_F(KernelTiers, ScalarTierFactorKernelsMatchSeedLoops) {
+  kern::set_tier(Tier::kScalar);
+  for (const index_t n : kFactorSizes) {
+    Rng rng(700 + static_cast<std::uint64_t>(n));
+    const Matrix a = testutil::random_matrix(rng, n + 9, n);
+    const Matrix s = damped_gram(rng, n, 0.1);
+    // Rank-deficient input: the first attempt fails and damping escalates.
+    const Matrix x2 = testutil::random_matrix(rng, n, 2);
+    const Matrix rank2 = matmul_nt(x2, x2);
+    for (const int t : {1, 3}) {
+      par::set_num_threads(t);
+      EXPECT_TRUE(bitwise_equal(gram_tn(a), seed_gram_tn(a))) << "n=" << n;
+      Matrix l, l_seed;
+      ASSERT_EQ(try_cholesky(s, l), seed_try_cholesky(s, l_seed));
+      EXPECT_TRUE(bitwise_equal(l, l_seed)) << "n=" << n;
+      EXPECT_TRUE(bitwise_equal(damped_spd_inverse(s, 0.01),
+                                seed_damped_spd_inverse(s, 0.01)))
+          << "n=" << n;
+      EXPECT_TRUE(bitwise_equal(damped_spd_inverse(rank2, 0.0),
+                                seed_damped_spd_inverse(rank2, 0.0)))
+          << "n=" << n << " escalated";
+    }
   }
 }
 

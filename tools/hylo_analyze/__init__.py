@@ -1,6 +1,6 @@
 """hylo_analyze — repo-invariant static analyzer for the hylo tree.
 
-Grown out of tools/lint_hylo.py (PR 3): a C++-aware token-stream lexer,
+Grown out of an earlier regex linter: a C++-aware token-stream lexer,
 a rule engine with reasoned line/block suppressions, a checked-in
 baseline, and text + SARIF 2.1.0 output. DESIGN.md §14 is the rule
 catalogue.
