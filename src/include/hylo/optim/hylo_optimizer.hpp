@@ -47,8 +47,7 @@ class HyloOptimizer : public CurvatureOptimizer {
   /// policies serve the Fig. 7 / Fig. 12 per-method analyses.
   enum class Policy { kGradientBased, kRandom, kAlwaysKid, kAlwaysKis };
 
-  explicit HyloOptimizer(OptimConfig cfg, std::uint64_t seed = 0x48794C6F)
-      : CurvatureOptimizer(cfg), rng_(seed) {}
+  explicit HyloOptimizer(OptimConfig cfg, std::uint64_t seed = 0x48794C6F);
 
   std::string name() const override { return "HyLo"; }
 
@@ -81,23 +80,8 @@ class HyloOptimizer : public CurvatureOptimizer {
   /// The global low rank r used at the last curvature refresh.
   index_t last_rank() const { return last_rank_; }
 
-  index_t layer_staleness(index_t layer) const override {
-    HYLO_CHECK(layer >= 0 && layer < static_cast<index_t>(layers_.size()),
-               "HyLo layer " << layer << " unknown");
-    return layers_[static_cast<std::size_t>(layer)].staleness;
-  }
-
-  void poll_async(CommSim& comm) override;
-  index_t async_pending() const override {
-    return static_cast<index_t>(pending_.size());
-  }
-
  protected:
   void precondition_block(ParamBlock& pb, index_t layer) override;
-  bool layer_ready(index_t layer) const override {
-    return layer < static_cast<index_t>(layers_.size()) &&
-           layers_[static_cast<std::size_t>(layer)].ready;
-  }
 
  private:
   struct LayerState {
@@ -105,8 +89,8 @@ class HyloOptimizer : public CurvatureOptimizer {
     Matrix a_s, g_s;      ///< gathered low-rank factors (r rows)
     LuFactor kid_middle;  ///< LU of (K̂ + Y⁻¹)      [KID]
     Matrix kis_chol;      ///< Cholesky of (K̂ + αI)  [KIS]
-    bool ready = false;
-    index_t staleness = 0;  ///< refreshes since these factors last landed
+    void save(ckpt::ByteWriter& w) const;
+    void load(ckpt::ByteReader& r);
   };
 
   Policy policy_ = Policy::kGradientBased;
@@ -123,15 +107,7 @@ class HyloOptimizer : public CurvatureOptimizer {
   index_t last_rank_ = 0;
   Rng rng_;
 
-  struct Pending {
-    index_t layer = 0;
-    CommEvent event;
-    LayerState state;
-  };
-  /// Commit completed pendings in (ready, seq) order; with `deadline`, a
-  /// pending that has not completed degrades to stale factors.
-  void resolve_pending(CommSim& comm, bool deadline);
-  std::vector<Pending> pending_;
+  RefreshTxn<LayerState> txn_;
 };
 
 }  // namespace hylo

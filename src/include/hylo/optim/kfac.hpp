@@ -17,7 +17,7 @@ namespace hylo {
 
 class KFac : public CurvatureOptimizer {
  public:
-  explicit KFac(OptimConfig cfg) : CurvatureOptimizer(cfg) {}
+  explicit KFac(OptimConfig cfg) : KFac(cfg, "kfac") {}
   std::string name() const override { return "KFAC"; }
 
   void update_curvature(const std::vector<ParamBlock*>& blocks,
@@ -26,29 +26,20 @@ class KFac : public CurvatureOptimizer {
   void save_state(Network& net, ckpt::ByteWriter& w) const override;
   void load_state(Network& net, ckpt::ByteReader& r) override;
 
-  index_t layer_staleness(index_t layer) const override {
-    HYLO_CHECK(layer >= 0 && layer < static_cast<index_t>(layers_.size()),
-               "KFAC layer " << layer << " unknown");
-    return layers_[static_cast<std::size_t>(layer)].staleness;
-  }
-
-  void poll_async(CommSim& comm) override;
-  index_t async_pending() const override {
-    return static_cast<index_t>(pending_.size());
-  }
-
  protected:
+  KFac(OptimConfig cfg, const char* method);
   void precondition_block(ParamBlock& pb, index_t layer) override;
-  bool layer_ready(index_t layer) const override {
-    return layer < static_cast<index_t>(layers_.size()) &&
-           layers_[static_cast<std::size_t>(layer)].ready;
-  }
 
+  /// Served Kronecker curvature of one layer: KFAC serves damped factor
+  /// inverses, EKFAC the factors' eigenbases with running per-entry
+  /// scalings; the other method's matrices stay empty.
   struct LayerState {
     Matrix a_factor, g_factor;  ///< running E[aaᵀ], E[ggᵀ]
-    Matrix a_inv, g_inv;        ///< damped inverses
-    bool ready = false;
-    index_t staleness = 0;      ///< refreshes since this layer last landed
+    Matrix a_inv, g_inv;        ///< damped inverses                [KFAC]
+    Matrix v_a, v_g;            ///< Kronecker eigenbases           [EKFAC]
+    Matrix scaling;  ///< running E[(V_gᵀ g a V_a)²], d_out x (d_in+1) [EKFAC]
+    void save(ckpt::ByteWriter& w) const;
+    void load(ckpt::ByteReader& r);
   };
   std::vector<LayerState> layers_;
 
@@ -59,101 +50,42 @@ class KFac : public CurvatureOptimizer {
       const std::vector<ParamBlock*>& blocks, const CaptureSet& capture,
       CommSim* comm);
 
-  /// Accumulate running factors from a capture (shared with EKFac): updates
-  /// a_factor/g_factor in layers_ and charges the factor allreduce. A layer
-  /// whose allreduce is lost to an injected fault keeps its previous running
-  /// factors; the returned flags mark those layers (one entry per layer) so
-  /// the caller folds the loss into its own staleness accounting.
+  /// Lockstep phase 1: charge every layer's factor allreduce and commit the
+  /// running factors whose allreduce landed and passed the gate. A lost
+  /// layer keeps its previous running factors; the returned flags mark
+  /// those layers (one entry per layer) so phase 2 opens them already lost.
   std::vector<char> refresh_factors(const std::vector<ParamBlock*>& blocks,
                                     const CaptureSet& capture, CommSim* comm);
 
-  /// Health probes over the served (committed) factor/inverse pairs.
-  void probe_health();
+  /// Build layer `l`'s served basis from the running factors (a, g) into
+  /// `c`; false when there is nothing to build from. Pure compute.
+  virtual bool build_basis(index_t l, const Matrix& a, const Matrix& g,
+                           const CaptureSet& capture, LayerState& c) const;
+
+  /// Health probes over the served (committed) state.
+  virtual void probe_health();
 
  private:
-  /// Async-mode refresh: full candidate state (factors + inverses) is
-  /// computed now, its allreduce→broadcast chain is issued as events, and
-  /// the commit is deferred to the handle (poll_async / next-refresh
-  /// deadline).
-  void async_refresh(const std::vector<ParamBlock*>& blocks,
-                     const CaptureSet& capture, CommSim& comm);
-
-  struct Pending {
-    index_t layer = 0;
-    CommEvent event;
-    LayerState state;
-  };
-  /// Commit completed pendings in (ready, seq) order; with `deadline`, a
-  /// pending that has not completed degrades to stale factors.
-  void resolve_pending(CommSim& comm, bool deadline);
-  std::vector<Pending> pending_;
+  RefreshTxn<LayerState> txn_;
 };
 
+/// KFAC in the Kronecker eigenbasis: the same refresh, serving eigenbases
+/// and per-entry second-moment scalings instead of inverses.
 class EKFac : public KFac {
  public:
-  explicit EKFac(OptimConfig cfg) : KFac(cfg) {}
+  explicit EKFac(OptimConfig cfg) : KFac(cfg, "ekfac") {}
   std::string name() const override { return "EKFAC"; }
-
-  void update_curvature(const std::vector<ParamBlock*>& blocks,
-                        const CaptureSet& capture, CommSim* comm) override;
-  index_t state_bytes() const override;
-  void save_state(Network& net, ckpt::ByteWriter& w) const override;
-  void load_state(Network& net, ckpt::ByteReader& r) override;
-
-  index_t layer_staleness(index_t layer) const override {
-    HYLO_CHECK(layer >= 0 && layer < static_cast<index_t>(eig_.size()),
-               "EKFAC layer " << layer << " unknown");
-    return eig_[static_cast<std::size_t>(layer)].staleness;
-  }
-
-  void poll_async(CommSim& comm) override;
-  index_t async_pending() const override {
-    return static_cast<index_t>(epending_.size());
-  }
 
  protected:
   void precondition_block(ParamBlock& pb, index_t layer) override;
-  bool layer_ready(index_t layer) const override {
-    return layer < static_cast<index_t>(eig_.size()) &&
-           eig_[static_cast<std::size_t>(layer)].ready;
-  }
-
- private:
-  struct EigState {
-    Matrix v_a, v_g;   ///< Kronecker eigenbases
-    Matrix scaling;    ///< running E[(V_gᵀ g a V_a)²], d_out x (d_in+1)
-    bool ready = false;
-    index_t staleness = 0;  ///< refreshes since this layer last landed
-  };
-  std::vector<EigState> eig_;
-
-  /// Candidate eigenbasis + merged second-moment scaling for layer `l`,
-  /// computed from the given (candidate or committed) Kronecker factors and
-  /// blended into the committed scaling with stat_decay. Pure compute.
-  EigState build_eig(const Matrix& a_factor, const Matrix& g_factor,
-                     const CaptureSet& capture, index_t l) const;
-
-  /// Health probes over the served eigenbasis scalings.
-  void probe_eig_health();
-
-  void async_refresh(const std::vector<ParamBlock*>& blocks,
-                     const CaptureSet& capture, CommSim& comm);
-
-  /// One chain covers factors + eigenbasis for a layer, so a missed
-  /// deadline keeps the old factors *and* the old basis (never half-new).
-  struct EigPending {
-    index_t layer = 0;
-    CommEvent event;
-    Matrix a_factor, g_factor;
-    EigState eig;
-  };
-  void resolve_eig_pending(CommSim& comm, bool deadline);
-  std::vector<EigPending> epending_;
+  bool build_basis(index_t l, const Matrix& a, const Matrix& g,
+                   const CaptureSet& capture, LayerState& c) const override;
+  void probe_health() override;
 };
 
 class KBfgs : public CurvatureOptimizer {
  public:
-  explicit KBfgs(OptimConfig cfg) : CurvatureOptimizer(cfg) {}
+  explicit KBfgs(OptimConfig cfg);
   std::string name() const override { return "KBFGS-L"; }
 
   void update_curvature(const std::vector<ParamBlock*>& blocks,
@@ -162,23 +94,8 @@ class KBfgs : public CurvatureOptimizer {
   void save_state(Network& net, ckpt::ByteWriter& w) const override;
   void load_state(Network& net, ckpt::ByteReader& r) override;
 
-  index_t layer_staleness(index_t layer) const override {
-    HYLO_CHECK(layer >= 0 && layer < static_cast<index_t>(layers_.size()),
-               "KBFGS layer " << layer << " unknown");
-    return layers_[static_cast<std::size_t>(layer)].staleness;
-  }
-
-  void poll_async(CommSim& comm) override;
-  index_t async_pending() const override {
-    return static_cast<index_t>(pending_.size());
-  }
-
  protected:
   void precondition_block(ParamBlock& pb, index_t layer) override;
-  bool layer_ready(index_t layer) const override {
-    return layer < static_cast<index_t>(layers_.size()) &&
-           layers_[static_cast<std::size_t>(layer)].ready;
-  }
 
  private:
   struct LayerState {
@@ -188,8 +105,8 @@ class KBfgs : public CurvatureOptimizer {
     Matrix g_mean_prev;  ///< previous mean per-sample gradient (d_out x 1)
     std::deque<std::pair<std::vector<real_t>, std::vector<real_t>>> sy_pairs;
     real_t h0_scale = 1.0;  ///< initial inverse-Hessian scaling
-    bool ready = false;
-    index_t staleness = 0;  ///< refreshes since this layer last landed
+    void save(ckpt::ByteWriter& w) const;
+    void load(ckpt::ByteReader& r);
   };
 
   /// Two-loop L-BFGS application of the inverse G-side Hessian to each
@@ -203,17 +120,8 @@ class KBfgs : public CurvatureOptimizer {
   /// Health probes over the served input-side factor/inverse pairs.
   void probe_health();
 
-  void async_refresh(const CaptureSet& capture, CommSim& comm);
-
-  struct Pending {
-    index_t layer = 0;
-    CommEvent event;
-    LayerState state;
-  };
-  void resolve_pending(CommSim& comm, bool deadline);
-  std::vector<Pending> pending_;
-
   std::vector<LayerState> layers_;
+  RefreshTxn<LayerState> txn_;
 };
 
 }  // namespace hylo

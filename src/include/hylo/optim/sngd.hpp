@@ -14,7 +14,7 @@ namespace hylo {
 
 class Sngd : public CurvatureOptimizer {
  public:
-  explicit Sngd(OptimConfig cfg) : CurvatureOptimizer(cfg) {}
+  explicit Sngd(OptimConfig cfg);
   std::string name() const override { return "SNGD"; }
 
   void update_curvature(const std::vector<ParamBlock*>& blocks,
@@ -27,42 +27,18 @@ class Sngd : public CurvatureOptimizer {
   /// Fig. 12 gradient-error bench).
   Matrix preconditioned(const Matrix& grad, index_t layer) const;
 
-  index_t layer_staleness(index_t layer) const override {
-    HYLO_CHECK(layer >= 0 && layer < static_cast<index_t>(layers_.size()),
-               "SNGD layer " << layer << " unknown");
-    return layers_[static_cast<std::size_t>(layer)].staleness;
-  }
-
-  void poll_async(CommSim& comm) override;
-  index_t async_pending() const override {
-    return static_cast<index_t>(pending_.size());
-  }
-
  protected:
   void precondition_block(ParamBlock& pb, index_t layer) override;
-  bool layer_ready(index_t layer) const override {
-    return layer < static_cast<index_t>(layers_.size()) &&
-           layers_[static_cast<std::size_t>(layer)].ready;
-  }
 
  private:
   struct LayerState {
     Matrix a_glob, g_glob;  ///< gathered global-batch factors (P·m rows)
     Matrix kernel_chol;     ///< Cholesky of (K + αI), dimension P·m
-    bool ready = false;
-    index_t staleness = 0;  ///< refreshes since these factors last landed
+    void save(ckpt::ByteWriter& w) const;
+    void load(ckpt::ByteReader& r);
   };
   std::vector<LayerState> layers_;
-
-  struct Pending {
-    index_t layer = 0;
-    CommEvent event;
-    LayerState state;
-  };
-  /// Commit completed pendings in (ready, seq) order; with `deadline`, a
-  /// pending that has not completed degrades to stale factors.
-  void resolve_pending(CommSim& comm, bool deadline);
-  std::vector<Pending> pending_;
+  RefreshTxn<LayerState> txn_;
 };
 
 }  // namespace hylo
