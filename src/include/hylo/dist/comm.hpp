@@ -157,7 +157,8 @@ class CommSim {
   /// returns-and-clears the bit-flip seed when the last charge escaped
   /// (nullopt otherwise). allreduce_mean / allgather_rows consume their own
   /// tickets; optimizers consume tickets for their charge_*/icharge_*
-  /// curvature collectives via apply_escaped_corruption. An unconsumed
+  /// curvature collectives through their refresh transaction
+  /// (optim/second_order.hpp). An unconsumed
   /// ticket is cleared by the next charge — it never leaks across
   /// collectives.
   std::optional<std::uint64_t> take_silent_corruption() {
