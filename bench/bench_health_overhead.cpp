@@ -1,10 +1,14 @@
 // Health-probe overhead: wall-time cost of the per-layer curvature probes
 // (DESIGN.md §12) vs probing cadence for the ResNet-32 proxy under the
-// HyLo optimizer. The same schedule runs with probes off, then at cadence
-// {4, 1}; each run's wall time and probe count are recorded and the final
-// weights are checked bitwise against the probe-free baseline — the probes
-// are pure observers and must not perturb training at ANY cadence, not just
-// when disabled. Writes BENCH_health.json for the repo record.
+// HyLo optimizer. The same schedule runs with probes off and at cadence
+// {4, 1}, kReps times each: every repetition runs the three settings back
+// to back, probes-off first on even repetitions and last on odd ones, so
+// host drift lands on both sides. Each setting records the median and
+// quartiles of its wall time, and each cadence the median and quartiles of
+// its per-repetition ratio to the probes-off run beside it. Every run's
+// final weights are checked bitwise against the probe-free baseline — the
+// probes are pure observers and must not perturb training at ANY cadence,
+// not just when disabled. Writes BENCH_health.json for the repo record.
 //
 // Geometry: HYLO_BENCH_SCALE=large quadruples the iterations per epoch.
 #include <cstdint>
@@ -76,31 +80,58 @@ int main() {
     return out;
   };
 
+  constexpr int kReps = 5;
+  const index_t cadences[] = {4, 1};
   std::cout << "Health-probe overhead — " << w.paper_name << " proxy ("
             << w.proxy_desc << "), HyLo, P=4, 2 epochs x " << iters
-            << " iters\n\n";
+            << " iters, " << kReps << " alternating reps\n\n";
 
-  const RunOut base = run_at(-1);
-  std::cout << "  probes off: " << base.wall_seconds << " s (baseline)\n";
+  const std::vector<real_t> baseline = run_at(-1).weights;  // warm-up run
+  std::vector<real_t> off_s;
+  std::vector<std::vector<real_t>> on_s(2), ratio(2);
+  std::vector<RunOut> last(2);
+  bool bitwise[2] = {true, true};
+  for (int rep = 0; rep < kReps; ++rep) {
+    const bool off_first = rep % 2 == 0;
+    double off = 0.0;
+    if (off_first) off = run_at(-1).wall_seconds;
+    for (std::size_t c = 0; c < 2; ++c) {
+      last[c] = run_at(cadences[c]);
+      bitwise[c] = bitwise[c] && bitwise_equal(last[c].weights, baseline);
+      on_s[c].push_back(last[c].wall_seconds);
+    }
+    if (!off_first) off = run_at(-1).wall_seconds;
+    off_s.push_back(off);
+    for (std::size_t c = 0; c < 2; ++c) ratio[c].push_back(on_s[c].back() / off);
+  }
 
-  CsvWriter table({"cadence", "probes", "wall_seconds", "overhead_vs_off",
-                   "alerts", "bitwise_vs_off"});
+  auto quartiles = [](const std::vector<real_t>& v) {
+    obs::Json q = obs::Json::object();
+    q.set("median", percentile(v, 50));
+    q.set("q1", percentile(v, 25));
+    q.set("q3", percentile(v, 75));
+    return q;
+  };
+  std::cout << "  probes off: median " << percentile(off_s, 50) << " s [q1 "
+            << percentile(off_s, 25) << ", q3 " << percentile(off_s, 75)
+            << "]\n";
+
+  CsvWriter table({"cadence", "probes", "wall_median_s", "overhead_median",
+                   "overhead_q1", "overhead_q3", "alerts", "bitwise_vs_off"});
   obs::Json rows = obs::Json::array();
-  bool all_bitwise = true;
-  for (const index_t cadence : {index_t{4}, index_t{1}}) {
-    const RunOut out = run_at(cadence);
-    const bool bitwise = bitwise_equal(out.weights, base.weights);
-    all_bitwise = all_bitwise && bitwise;
-    const double overhead = out.wall_seconds / base.wall_seconds;
-    table.add(cadence, out.probes, out.wall_seconds, overhead, out.alerts,
-              bitwise ? "yes" : "NO");
+  for (std::size_t c = 0; c < 2; ++c) {
+    table.add(cadences[c], last[c].probes, percentile(on_s[c], 50),
+              percentile(ratio[c], 50), percentile(ratio[c], 25),
+              percentile(ratio[c], 75), last[c].alerts,
+              bitwise[c] ? "yes" : "NO");
     obs::Json row = obs::Json::object();
-    row.set("cadence", cadence);
-    row.set("probes", out.probes);
-    row.set("wall_seconds", out.wall_seconds);
-    row.set("overhead_vs_off_x", overhead);
-    row.set("alerts_fired", out.alerts);
-    row.set("bitwise_final_weights", bitwise);
+    row.set("cadence", cadences[c]);
+    row.set("probes", last[c].probes);
+    row.set("reps", kReps);
+    row.set("wall_seconds", quartiles(on_s[c]));
+    row.set("overhead_vs_off_x", quartiles(ratio[c]));
+    row.set("alerts_fired", last[c].alerts);
+    row.set("bitwise_final_weights", bitwise[c]);
     rows.push(std::move(row));
   }
   table.print_table();
@@ -112,14 +143,15 @@ int main() {
   doc.set("world", 4);
   doc.set("epochs", 2);
   doc.set("iters_per_epoch", iters);
-  doc.set("baseline_wall_seconds", base.wall_seconds);
+  doc.set("reps", kReps);
+  doc.set("baseline_wall_seconds", quartiles(off_s));
   doc.set("cadences", std::move(rows));
   std::ofstream out("BENCH_health.json");
   doc.dump(out);
   out << "\n";
   std::cout << "wrote BENCH_health.json\n";
 
-  if (!all_bitwise) {
+  if (!bitwise[0] || !bitwise[1]) {
     std::cerr << "bitwise mismatch: health probes perturbed training\n";
     return 1;
   }

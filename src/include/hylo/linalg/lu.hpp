@@ -29,6 +29,14 @@ Matrix lu_solve(const LuFactor& f, const Matrix& b);
 /// General inverse via LU.
 Matrix lu_inverse(const Matrix& a);
 
+/// M += block_diag(blocks)⁻¹, one LU per block. Bitwise equal to
+/// `m += lu_inverse(block_diag(blocks))`: lu_factor/lu_solve skip the zero
+/// couplings between blocks, so the full inverse computes each diagonal block
+/// with exactly the block's own operations, and its off-block entries of a
+/// block's rows are that block's solve of a zero right-hand side (±0). Both
+/// are added here. Throws hylo::Error on a singular block.
+void add_block_diag_inverse(Matrix& m, const std::vector<Matrix>& blocks);
+
 /// X = A⁻¹ B for general square A.
 Matrix general_solve(const Matrix& a, const Matrix& b);
 

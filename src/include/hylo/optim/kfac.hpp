@@ -113,8 +113,9 @@ class KBfgs : public CurvatureOptimizer {
   /// column of `m` (in place).
   void apply_hg(const LayerState& st, Matrix& m) const;
 
-  /// Full per-layer candidate refreshes from a capture (running factors,
-  /// input-side inverse, BFGS pair update) — pure compute on copies.
+  /// Per-layer candidate refreshes from a capture (running factors, BFGS
+  /// pair update) — pure compute on copies. The input-side inverse is
+  /// computed and timed per layer by update_curvature.
   std::vector<LayerState> build_candidates(const CaptureSet& capture);
 
   /// Health probes over the served input-side factor/inverse pairs.

@@ -67,7 +67,11 @@ void packed_syrk_update(Matrix& w, index_t r0, index_t k0, index_t k1);
 // vscale and vadd_where_positive are elementwise and therefore bitwise
 // identical across tiers; vdot uses lane-partial accumulators in SIMD tiers
 // (fixed, deterministic reduction order within a tier, reassociated
-// relative to scalar) and vaxpy fuses its multiply-add there.
+// relative to scalar) and vaxpy fuses its multiply-add there. The scalar
+// loops are plain C++, so the compiler decides their rounding: GCC's
+// default -ffp-contract=fast contracts `y += s * x` into one fused
+// multiply-add wherever the target has FMA (the Release build's
+// -march=native on an FMA host), and rounds twice where it does not.
 
 /// a[i] *= b[i].
 void vmul(real_t* a, const real_t* b, index_t n);
@@ -77,7 +81,9 @@ void vscale(real_t* dst, const real_t* src, real_t s, index_t n);
 real_t vdot(const real_t* a, const real_t* b, index_t n);
 /// y[i] += s * x[i]. The SIMD tiers fuse the multiply-add (one rounding,
 /// tail included), so results are bitwise within a tier whatever n or the
-/// alignment, and differ from the scalar tier's two-rounding loop.
+/// alignment. The scalar tier's loop is contracted to the same fused
+/// multiply-add on an FMA build (then every tier agrees bit for bit) and
+/// rounds twice otherwise.
 void vaxpy(real_t* y, const real_t* x, real_t s, index_t n);
 /// a[i] += b[i] where x[i] > 0, a[i] untouched elsewhere (ReLU backward).
 /// Elementwise and branch-free in the SIMD tiers: bitwise across tiers.

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <utility>
 
+#include "hylo/tensor/gemm_packed.hpp"
+
 namespace hylo {
 
 LuFactor lu_factor(const Matrix& a) {
@@ -31,9 +33,8 @@ LuFactor lu_factor(const Matrix& a) {
       const real_t lik = m(i, k) * inv;
       m(i, k) = lik;
       if (lik == 0.0) continue;
-      const real_t* mk = m.row_ptr(k);
-      real_t* mi = m.row_ptr(i);
-      for (index_t j = k + 1; j < n; ++j) mi[j] -= lik * mk[j];
+      kern::vaxpy(m.row_ptr(i) + k + 1, m.row_ptr(k) + k + 1, -lik,
+                  n - k - 1);
     }
   }
   return f;
@@ -97,6 +98,31 @@ Matrix lu_solve(const LuFactor& f, const Matrix& b) {
 
 Matrix lu_inverse(const Matrix& a) {
   return lu_solve(lu_factor(a), Matrix::identity(a.rows()));
+}
+
+void add_block_diag_inverse(Matrix& m, const std::vector<Matrix>& blocks) {
+  HYLO_CHECK(!blocks.empty(), "block inverse of nothing");
+  index_t n = 0;
+  for (const Matrix& b : blocks) n += b.rows();
+  HYLO_CHECK(m.rows() == n && m.cols() == n, "block inverse shape");
+  index_t off = 0;
+  for (const Matrix& b : blocks) {
+    const index_t nb = b.rows();
+    // Columns [0, nb) solve for the block's inverse; column nb is the zero
+    // right-hand side every column outside the block reduces to.
+    Matrix rhs(nb, nb + 1);
+    for (index_t i = 0; i < nb; ++i) rhs(i, i) = 1.0;
+    const Matrix x = lu_solve(lu_factor(b), rhs);
+    for (index_t i = 0; i < nb; ++i) {
+      real_t* mi = m.row_ptr(off + i);
+      const real_t* xi = x.row_ptr(i);
+      const real_t z = xi[nb];
+      for (index_t j = 0; j < off; ++j) mi[j] += z;
+      for (index_t j = 0; j < nb; ++j) mi[off + j] += xi[j];
+      for (index_t j = off + nb; j < n; ++j) mi[j] += z;
+    }
+    off += nb;
+  }
 }
 
 Matrix general_solve(const Matrix& a, const Matrix& b) {

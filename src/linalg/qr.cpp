@@ -4,6 +4,8 @@
 #include <cmath>
 #include <utility>
 
+#include "hylo/tensor/gemm_packed.hpp"
+
 namespace hylo {
 
 PivotedQr pivoted_qr(const Matrix& a, index_t max_rank) {
@@ -20,6 +22,10 @@ PivotedQr pivoted_qr(const Matrix& a, index_t max_rank) {
 
   // Squared column norms of the trailing submatrix, downdated per step.
   std::vector<real_t> colnorm(static_cast<std::size_t>(n), 0.0);
+  // Per-step scratch: the scaled reflector dots of the trailing columns and
+  // the [j0, j1) runs of them that are nonzero.
+  std::vector<real_t> d(static_cast<std::size_t>(n), 0.0);
+  std::vector<std::pair<index_t, index_t>> runs;
   for (index_t i = 0; i < m; ++i) {
     const real_t* wi = work.row_ptr(i);
     for (index_t j = 0; j < n; ++j)
@@ -73,18 +79,37 @@ PivotedQr pivoted_qr(const Matrix& a, index_t max_rank) {
     work(k, k) = alpha;
     for (index_t i = k + 1; i < m; ++i) work(i, k) = 0.0;
 
-    // Apply H = I - tau v vᵀ to the trailing columns.
-    for (index_t j = k + 1; j < n; ++j) {
-      real_t dotv = 0.0;
-      for (index_t i = k; i < m; ++i) dotv += f.reflectors(i, k) * work(i, j);
-      dotv *= tau;
-      if (dotv != 0.0)
-        for (index_t i = k; i < m; ++i)
-          work(i, j) -= dotv * f.reflectors(i, k);
-      // Downdate the column norm (clamp at zero against roundoff).
-      real_t& cn = colnorm[static_cast<std::size_t>(j)];
-      cn -= work(k, j) * work(k, j);
-      if (cn < 0.0) cn = 0.0;
+    // Apply H = I - tau v vᵀ to the trailing columns, sweeping rows so every
+    // pass is a contiguous kern::vaxpy: d = tau · vᵀW accumulates each
+    // column's dot in ascending i, then W -= v dᵀ row by row. A column whose
+    // d is exactly zero is left untouched, so the update runs over the
+    // maximal zero-free runs of d.
+    const index_t nt = n - k - 1;
+    if (nt > 0) {
+      real_t* dt = d.data() + k + 1;
+      std::fill(dt, dt + nt, 0.0);
+      for (index_t i = k; i < m; ++i)
+        kern::vaxpy(dt, work.row_ptr(i) + k + 1, f.reflectors(i, k), nt);
+      kern::vscale(dt, dt, tau, nt);
+      runs.clear();
+      for (index_t j = 0; j < nt; ++j) {
+        if (dt[j] == 0.0) continue;
+        if (runs.empty() || runs.back().second != j) runs.emplace_back(j, j);
+        runs.back().second = j + 1;
+      }
+      for (index_t i = k; i < m; ++i) {
+        real_t* wi = work.row_ptr(i) + k + 1;
+        const real_t vi = f.reflectors(i, k);
+        for (const auto& [j0, j1] : runs)
+          kern::vaxpy(wi + j0, dt + j0, -vi, j1 - j0);
+      }
+      // Downdate the column norms (clamp at zero against roundoff).
+      const real_t* wk = work.row_ptr(k);
+      for (index_t j = k + 1; j < n; ++j) {
+        real_t& cn = colnorm[static_cast<std::size_t>(j)];
+        cn -= wk[j] * wk[j];
+        if (cn < 0.0) cn = 0.0;
+      }
     }
     f.rank = k + 1;
   }

@@ -331,10 +331,10 @@ void HyloOptimizer::update_curvature(const std::vector<ParamBlock*>& blocks,
 
           WallTimer invert_timer;
           if (mode_ == HyloMode::kKid) {
-            // Alg. 1 line 10, Eq. 8: LU of K̂ + Y⁻¹.
-            const Matrix y = block_diag(sc.y_parts);
+            // Alg. 1 line 10, Eq. 8: LU of K̂ + Y⁻¹. Y is block-diagonal
+            // (one r_local x r_local block per rank): invert block-wise.
             Matrix middle = kernel_matrix(sc.a_s, sc.g_s);  // K̂
-            middle += lu_inverse(y);
+            add_block_diag_inverse(middle, sc.y_parts);
             sc.kid_middle =
                 damped_lu(std::move(middle), cfg_.damping, &sc.escalations);
           } else {

@@ -327,7 +327,6 @@ std::vector<KBfgs::LayerState> KBfgs::build_candidates(
         for (index_t o = 0; o < g.cols(); ++o) g_mean[o] += g(i, o);
     }
     g_mean *= 1.0 / static_cast<real_t>(m_total);
-    st.a_inv = damped_spd_inverse(st.a_factor, cfg_.damping);
 
     // (L-)BFGS pair from the change in the mean per-sample gradient, with
     // curvature synthesized through the damped G factor: y = (C_g + γI)s.
@@ -384,13 +383,30 @@ void KBfgs::update_curvature(const std::vector<ParamBlock*>& blocks,
   std::vector<LayerState> cand = build_candidates(capture);
   if (comm != nullptr)
     comm->profiler().add("comp/factorization", factor_timer.seconds());
+  // Each layer's input-factor inverse is timed on its own and booked once
+  // the allreduce feeding it landed (async: once it was issued).
+  const std::string histogram =
+      std::string("optim/") + txn_.method() + "/inversion_seconds";
+  double inv_max = 0.0;
   for (index_t l = 0; l < layers; ++l) {
-    LayerState& c = txn_.open(l, std::move(cand[static_cast<std::size_t>(l)]));
+    LayerState& st = cand[static_cast<std::size_t>(l)];
+    WallTimer inv_timer;
+    st.a_inv = damped_spd_inverse(st.a_factor, cfg_.damping);
+    const double inv_s = inv_timer.seconds();
+    LayerState& c = txn_.open(l, std::move(st));
     if (txn_.allreduce(comm, c.a_factor.size() + c.g_factor.size(),
-                       {&c.a_factor, &c.g_factor}))
+                       {&c.a_factor, &c.g_factor})) {
+      if (comm != nullptr) {
+        comm->profiler().add("comp/inversion", inv_s);
+        inv_max = std::max(inv_max, inv_s);
+        comm->profiler().registry().histogram(histogram).observe(inv_s);
+      }
       txn_.broadcast(comm, c.a_inv.size(), {&c.a_inv});
+    }
     txn_.close(comm);
   }
+  if (comm != nullptr)
+    comm->profiler().add("comp/inversion_critical", inv_max);
   // hylo-commit-begin(kbfgs_update)
   txn_.settle(comm);
   // hylo-commit-end(kbfgs_update)

@@ -17,6 +17,9 @@
 
 #include "hylo/common/check.hpp"
 #include "hylo/linalg/cholesky.hpp"
+#include "hylo/linalg/id.hpp"
+#include "hylo/linalg/lu.hpp"
+#include "hylo/linalg/qr.hpp"
 #include "hylo/linalg/kernels.hpp"
 #include "hylo/nn/layers.hpp"
 #include "hylo/nn/loss.hpp"
@@ -786,6 +789,338 @@ TEST_F(KernelTiers, ScalarTierFactorKernelsMatchSeedLoops) {
           << "n=" << n << " escalated";
     }
   }
+}
+
+// ---- KID factorization kernels -----------------------------------------
+// pivoted_qr, lu_factor and the row ID run their row updates through
+// kern::vaxpy, in the operation order of the column loops they replaced
+// (copied below). Each product-and-add there is one fused multiply-add
+// wherever the build contracts `y -= a * b` (GCC's default
+// -ffp-contract=fast under -march=native on an FMA host), so every tier
+// must reproduce those loops bit for bit; without contraction only the
+// scalar tier's plain vaxpy loop does.
+
+real_t __attribute__((noinline)) contracted_sub(real_t y, real_t a, real_t b) {
+  y -= a * b;
+  return y;
+}
+
+// 1 - (1 + 2^-30)(1 - 2^-30) is -2^-60 fused and 0 when the product rounds.
+bool build_contracts_fma() {
+  volatile real_t a = 1.0 + 0x1p-30, b = 1.0 - 0x1p-30, y = 1.0;
+  return contracted_sub(y, a, b) != 0.0;
+}
+
+std::vector<Tier> kid_bitwise_tiers() {
+  return build_contracts_fma() ? all_tiers() : std::vector<Tier>{Tier::kScalar};
+}
+
+PivotedQr seed_pivoted_qr(const Matrix& a, index_t max_rank) {
+  const index_t m = a.rows(), n = a.cols();
+  index_t kmax = std::min(m, n);
+  if (max_rank >= 0) kmax = std::min(kmax, max_rank);
+
+  Matrix work = a;
+  PivotedQr f;
+  f.piv.resize(static_cast<std::size_t>(n));
+  for (index_t j = 0; j < n; ++j) f.piv[static_cast<std::size_t>(j)] = j;
+  f.reflectors.resize(m, kmax);
+  f.tau.assign(static_cast<std::size_t>(kmax), 0.0);
+
+  std::vector<real_t> colnorm(static_cast<std::size_t>(n), 0.0);
+  for (index_t i = 0; i < m; ++i) {
+    const real_t* wi = work.row_ptr(i);
+    for (index_t j = 0; j < n; ++j)
+      colnorm[static_cast<std::size_t>(j)] += wi[j] * wi[j];
+  }
+
+  for (index_t k = 0; k < kmax; ++k) {
+    index_t p = k;
+    real_t best = colnorm[static_cast<std::size_t>(k)];
+    for (index_t j = k + 1; j < n; ++j) {
+      if (colnorm[static_cast<std::size_t>(j)] > best) {
+        best = colnorm[static_cast<std::size_t>(j)];
+        p = j;
+      }
+    }
+    if (p != k) {
+      for (index_t i = 0; i < m; ++i) std::swap(work(i, k), work(i, p));
+      std::swap(colnorm[static_cast<std::size_t>(k)],
+                colnorm[static_cast<std::size_t>(p)]);
+      std::swap(f.piv[static_cast<std::size_t>(k)],
+                f.piv[static_cast<std::size_t>(p)]);
+    }
+
+    real_t norm_sq = 0.0;
+    for (index_t i = k; i < m; ++i) norm_sq += work(i, k) * work(i, k);
+    const real_t norm_x = std::sqrt(norm_sq);
+    if (norm_x <= 1e-300) {
+      f.tau[static_cast<std::size_t>(k)] = 0.0;
+      f.rank = k;
+      for (index_t kk = k; kk < kmax; ++kk)
+        f.tau[static_cast<std::size_t>(kk)] = 0.0;
+      kmax = k;
+      break;
+    }
+    const real_t x0 = work(k, k);
+    const real_t alpha = (x0 >= 0.0) ? -norm_x : norm_x;
+    real_t vnorm_sq = 0.0;
+    for (index_t i = k; i < m; ++i) {
+      real_t v = work(i, k);
+      if (i == k) v -= alpha;
+      f.reflectors(i, k) = v;
+      vnorm_sq += v * v;
+    }
+    const real_t tau = vnorm_sq > 0.0 ? 2.0 / vnorm_sq : 0.0;
+    f.tau[static_cast<std::size_t>(k)] = tau;
+    work(k, k) = alpha;
+    for (index_t i = k + 1; i < m; ++i) work(i, k) = 0.0;
+
+    for (index_t j = k + 1; j < n; ++j) {
+      real_t dotv = 0.0;
+      for (index_t i = k; i < m; ++i) dotv += f.reflectors(i, k) * work(i, j);
+      dotv *= tau;
+      if (dotv != 0.0)
+        for (index_t i = k; i < m; ++i)
+          work(i, j) -= dotv * f.reflectors(i, k);
+      real_t& cn = colnorm[static_cast<std::size_t>(j)];
+      cn -= work(k, j) * work(k, j);
+      if (cn < 0.0) cn = 0.0;
+    }
+    f.rank = k + 1;
+  }
+
+  f.r.resize(f.rank, n);
+  for (index_t i = 0; i < f.rank; ++i)
+    for (index_t j = 0; j < n; ++j) f.r(i, j) = work(i, j);
+  return f;
+}
+
+LuFactor seed_lu_factor(const Matrix& a) {
+  HYLO_CHECK(a.rows() == a.cols(), "lu needs square");
+  const index_t n = a.rows();
+  LuFactor f{a, std::vector<index_t>(static_cast<std::size_t>(n))};
+  Matrix& m = f.lu;
+  for (index_t k = 0; k < n; ++k) {
+    index_t p = k;
+    real_t best = std::abs(m(k, k));
+    for (index_t i = k + 1; i < n; ++i) {
+      const real_t v = std::abs(m(i, k));
+      if (v > best) {
+        best = v;
+        p = i;
+      }
+    }
+    HYLO_CHECK(best > 0.0 && std::isfinite(best),
+               "singular matrix in lu_factor at k=" << k);
+    f.piv[static_cast<std::size_t>(k)] = p;
+    if (p != k)
+      for (index_t j = 0; j < n; ++j) std::swap(m(k, j), m(p, j));
+    const real_t inv = 1.0 / m(k, k);
+    for (index_t i = k + 1; i < n; ++i) {
+      const real_t lik = m(i, k) * inv;
+      m(i, k) = lik;
+      if (lik == 0.0) continue;
+      const real_t* mk = m.row_ptr(k);
+      real_t* mi = m.row_ptr(i);
+      for (index_t j = k + 1; j < n; ++j) mi[j] -= lik * mk[j];
+    }
+  }
+  return f;
+}
+
+RowId seed_row_id(const Matrix& m, index_t r) {
+  const index_t rows = m.rows();
+  r = std::min({r, rows, m.cols()});
+  const PivotedQr f = seed_pivoted_qr(m.transposed(), r);
+  const index_t k = f.rank;
+
+  RowId id;
+  id.rank = k;
+  id.rows.assign(f.piv.begin(), f.piv.begin() + static_cast<std::ptrdiff_t>(k));
+
+  Matrix r12(k, rows - k);
+  for (index_t i = 0; i < k; ++i)
+    for (index_t j = 0; j < rows - k; ++j) r12(i, j) = f.r(i, k + j);
+  const Matrix coeff = (rows - k) > 0 ? solve_r11(f, r12) : Matrix(k, 0);
+
+  id.projection.resize(rows, k);
+  for (index_t j = 0; j < k; ++j)
+    id.projection(f.piv[static_cast<std::size_t>(j)], j) = 1.0;
+  for (index_t j = k; j < rows; ++j) {
+    const index_t orig = f.piv[static_cast<std::size_t>(j)];
+    for (index_t i = 0; i < k; ++i)
+      id.projection(orig, i) = coeff(i, j - k);
+  }
+  return id;
+}
+
+bool bitwise_equal(const std::vector<real_t>& x, const std::vector<real_t>& y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), sizeof(real_t) * x.size()) == 0;
+}
+
+bool same_qr(const PivotedQr& x, const PivotedQr& y) {
+  return x.rank == y.rank && x.piv == y.piv && bitwise_equal(x.tau, y.tau) &&
+         bitwise_equal(x.r, y.r) && bitwise_equal(x.reflectors, y.reflectors);
+}
+
+bool same_id(const RowId& x, const RowId& y) {
+  return x.rank == y.rank && x.rows == y.rows &&
+         bitwise_equal(x.projection, y.projection);
+}
+
+const index_t kKidSizes[] = {1, 7, 12, 128, 192, 257};
+
+// Square, tall and wide inputs of side n.
+std::vector<Matrix> kid_shapes(Rng& rng, index_t n) {
+  return {testutil::random_matrix(rng, n, n),
+          testutil::random_matrix(rng, n + 9, n),
+          testutil::random_matrix(rng, n, n + 9)};
+}
+
+// Rank-3 input (rows x cols, cols >= 4) whose other columns are exactly
+// -0.0: the QR stops early on exact rank deficiency, and every step meets
+// trailing columns whose reflector dot is exactly zero.
+Matrix zero_column_matrix(Rng& rng, index_t rows, index_t cols) {
+  Matrix a(rows, cols);
+  for (index_t i = 0; i < rows; ++i)
+    for (index_t j = 0; j < cols; ++j)
+      a(i, j) = (j == 1 || j == 2 || j == cols - 1) ? rng.normal() : -0.0;
+  return a;
+}
+
+TEST_F(KernelTiers, PivotedQrMatchesSeedLoopsBitwise) {
+  for (const index_t n : kKidSizes) {
+    Rng rng(800 + static_cast<std::uint64_t>(n));
+    std::vector<Matrix> inputs = kid_shapes(rng, n);
+    if (n >= 4) inputs.push_back(zero_column_matrix(rng, n + 2, n));
+    for (const Matrix& a : inputs) {
+      for (const index_t max_rank : {index_t{1}, index_t{12}, index_t{-1}}) {
+        const PivotedQr want = seed_pivoted_qr(a, max_rank);
+        for (const Tier tier : kid_bitwise_tiers()) {
+          kern::set_tier(tier);
+          for (const int t : {1, 3}) {
+            par::set_num_threads(t);
+            EXPECT_TRUE(same_qr(pivoted_qr(a, max_rank), want))
+                << kern::tier_name(tier) << " " << a.rows() << "x" << a.cols()
+                << " max_rank=" << max_rank << " @" << t;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(KernelTiers, PivotedQrStopsEarlyOnExactRankDeficiency) {
+  Rng rng(811);
+  const Matrix a = zero_column_matrix(rng, 9, 7);
+  for (const Tier tier : all_tiers()) {
+    kern::set_tier(tier);
+    const PivotedQr f = pivoted_qr(a, -1);
+    EXPECT_EQ(f.rank, 3) << kern::tier_name(tier);
+    EXPECT_EQ(f.r.rows(), 3) << kern::tier_name(tier);
+  }
+}
+
+// Random rows, plus an exact-zero pattern (every third entry -0.0) so the
+// elimination meets multipliers that are exactly zero.
+Matrix sparse_square(Rng& rng, index_t n) {
+  Matrix a = testutil::random_matrix(rng, n, n);
+  for (index_t i = 0; i < a.size(); ++i)
+    if (i % 3 == 1) a[i] = -0.0;
+  for (index_t i = 0; i < n; ++i) a(i, i) += 4.0;
+  return a;
+}
+
+TEST_F(KernelTiers, LuFactorMatchesSeedLoopsBitwise) {
+  for (const index_t n : kKidSizes) {
+    Rng rng(900 + static_cast<std::uint64_t>(n));
+    for (const Matrix& a :
+         {testutil::random_matrix(rng, n, n), sparse_square(rng, n)}) {
+      const LuFactor want = seed_lu_factor(a);
+      for (const Tier tier : kid_bitwise_tiers()) {
+        kern::set_tier(tier);
+        for (const int t : {1, 3}) {
+          par::set_num_threads(t);
+          const LuFactor got = lu_factor(a);
+          EXPECT_TRUE(bitwise_equal(got.lu, want.lu) && got.piv == want.piv)
+              << kern::tier_name(tier) << " n=" << n << " @" << t;
+        }
+      }
+    }
+  }
+}
+
+TEST_F(KernelTiers, LuFactorStillThrowsOnSingularInput) {
+  for (const index_t n : {index_t{1}, index_t{7}, index_t{128}}) {
+    Rng rng(950 + static_cast<std::uint64_t>(n));
+    // Column n/2 exactly zero: elimination keeps it zero, so its pivot is 0.
+    Matrix a = testutil::random_matrix(rng, n, n);
+    for (index_t i = 0; i < n; ++i) a(i, n / 2) = 0.0;
+    EXPECT_THROW(seed_lu_factor(a), Error) << "n=" << n;
+    for (const Tier tier : all_tiers()) {
+      kern::set_tier(tier);
+      EXPECT_THROW(lu_factor(a), Error) << kern::tier_name(tier) << " n=" << n;
+    }
+  }
+}
+
+TEST_F(KernelTiers, RowIdMatchesSeedLoopsBitwise) {
+  for (const index_t n : kKidSizes) {
+    Rng rng(1000 + static_cast<std::uint64_t>(n));
+    std::vector<Matrix> inputs = kid_shapes(rng, n);
+    // A Gram-like symmetric input, as the KID refresh factors it.
+    inputs.push_back(matmul_nt(inputs[0], inputs[0]));
+    if (n >= 4) inputs.push_back(zero_column_matrix(rng, n, n + 2).transposed());
+    for (const Matrix& q : inputs) {
+      for (const index_t r : {index_t{1}, index_t{12}, n + 9}) {
+        const RowId want = seed_row_id(q, r);
+        for (const Tier tier : kid_bitwise_tiers()) {
+          kern::set_tier(tier);
+          for (const int t : {1, 3}) {
+            par::set_num_threads(t);
+            EXPECT_TRUE(same_id(row_interpolative_decomposition(q, r), want))
+                << kern::tier_name(tier) << " " << q.rows() << "x" << q.cols()
+                << " r=" << r << " @" << t;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(KernelTiers, BlockDiagInverseMatchesFullInverseBitwise) {
+  Rng rng(1100);
+  // Blocks of mixed size with negative entries (so pivots and zero signs
+  // vary), one a 1x1 negative scalar.
+  std::vector<Matrix> parts;
+  for (const index_t nb : {index_t{12}, index_t{1}, index_t{7}, index_t{12}}) {
+    Matrix b = testutil::random_matrix(rng, nb, nb);
+    for (index_t i = 0; i < nb; ++i) b(i, i) += (i % 2 == 0 ? 3.0 : -3.0);
+    parts.push_back(std::move(b));
+  }
+  parts[1](0, 0) = -2.5;
+  const index_t n = 32;
+  // Base with +0.0 and -0.0 entries: adding a ±0 inverse entry flips only
+  // a -0.0, so the sign of every off-block zero is checked too.
+  Matrix base = testutil::random_matrix(rng, n, n);
+  for (index_t i = 0; i < base.size(); ++i) {
+    if (i % 4 == 1) base[i] = -0.0;
+    if (i % 4 == 3) base[i] = 0.0;
+  }
+  for (const Tier tier : all_tiers()) {
+    kern::set_tier(tier);
+    Matrix want = base;
+    want += lu_inverse(block_diag(parts));
+    Matrix got = base;
+    add_block_diag_inverse(got, parts);
+    EXPECT_TRUE(bitwise_equal(got, want)) << kern::tier_name(tier);
+  }
+  // A singular block still throws.
+  parts[2] = Matrix(7, 7);
+  Matrix m = base;
+  EXPECT_THROW(add_block_diag_inverse(m, parts), Error);
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 //    rank_down-only schedule. The integers are value-independent (HyLo is
 //    pinned to KID or KIS), so every kernel tier and thread count holds them.
 //  - RefreshBooking: the inversion metrics of one refresh are booked under
-//    one rule — the gathers feeding the inversion landed.
+//    one rule — the collectives feeding the inversion landed.
 //  - AsyncRefreshResume: snapshots taken with refresh chains still in
 //    flight resume bitwise for every optimizer.
 // Every trainer test pins cfg.faults and cfg.comm_mode, so ambient
@@ -162,6 +162,25 @@ TEST(RefreshBooking, HyloBooksEveryInversionOnce) {
               prof.calls("comp/inversion"))
         << name;
   }
+}
+
+TEST(RefreshBooking, KbfgsBooksEveryInversionOnce) {
+  // KBFGS-L inverts its input factor per layer and books it once the
+  // allreduce feeding the inverse landed: one comp/inversion call and one
+  // histogram observation per such layer, and a critical-path entry per
+  // refresh.
+  Network net = make_mlp({2, 1, 1}, {16}, 2, 3);
+  auto opt = make_curvature("KBFGS-L", small_config());
+  Trainer trainer(net, *opt, spirals(), faulty_config(CommMode::kLockstep));
+  trainer.run();
+  Profiler& prof = trainer.comm().profiler();
+  const std::int64_t calls = prof.calls("comp/inversion");
+  EXPECT_GT(calls, 0);
+  EXPECT_EQ(prof.registry().histogram("optim/kbfgs/inversion_seconds").count(),
+            calls);
+  // Every landed allreduce is followed by the inverse broadcast.
+  EXPECT_GE(calls, prof.calls("comm/broadcast"));
+  EXPECT_GT(prof.calls("comp/inversion_critical"), 0);
 }
 
 TEST(RefreshBooking, SngdInversionTotalCountsLandedGathersOnly) {
