@@ -1,5 +1,6 @@
 // GEMM throughput across kernel tiers and hylo::par thread counts. For
-// every available tier (scalar + packed SIMD, DESIGN.md §13) this times the
+// every available tier (the packed core with the portable scalar
+// microkernel or a SIMD one, DESIGN.md §13) this times the
 // kernels the optimizer pipeline leans on — gemm (C = AB), gemm_tn (AᵀB,
 // the factor-contraction shape), gram_nt (AAᵀ, the kernel-matrix shape),
 // gram_tn (AᵀA, the KFAC factor covariance), spd_inverse (Cholesky plus
@@ -89,9 +90,8 @@ int main() {
       b(i, j) = rng.normal();
     }
 
-  // Fused-conv workload: batch of NCHW samples through a Conv2d layer (the
-  // SIMD tiers run the fused-im2col packed GEMM, the scalar tier the
-  // materialized per-sample patch matrices — the before/after pair).
+  // Fused-conv workload: batch of NCHW samples through a Conv2d layer; every
+  // tier runs the fused-im2col packed GEMM.
   const index_t cn = large_scale() ? 32 : 16;
   Rng wrng(7);
   Conv2d conv(/*out_channels=*/32, /*kernel=*/3, /*stride=*/1, /*pad=*/1,
@@ -232,9 +232,9 @@ int main() {
   }
 
   // Early-out perf note (locked here): the seed kernels skipped
-  // `aik == 0.0` terms inside the innermost GEMM loop. The branch is gone —
-  // a 90%-sparse A must now cost the same as a dense one in the scalar
-  // tier, which this measurement records.
+  // `aik == 0.0` terms inside the innermost GEMM loop. No GEMM path has
+  // the branch — a 90%-sparse A must cost the same as a dense one in the
+  // scalar tier, which this measurement records.
   kern::set_tier(kern::Tier::kScalar);
   par::set_num_threads(1);
   Matrix a_sparse = a;
@@ -331,13 +331,14 @@ int main() {
   doc.set("hardware_concurrency", hw);
   doc.set("conv_workload",
           "batch " + std::to_string(cn) + " x 16x28x28, conv 32c 3x3 s1 p1, "
-          "forward (fused im2col in SIMD tiers, materialized in scalar)");
+          "forward (fused im2col in every tier)");
   doc.set("tiers", std::move(tiers_json));
   doc.set("seed_baseline", std::move(seed));
   doc.set("factor_kernels_note",
-          "gram_tn and spd_inverse_* in the scalar tier run the seed loops "
-          "(rank-1 gram_tn, unblocked Cholesky, cholesky_solve(L, I)); the "
-          "SIMD tiers run the packed symmetric driver, the blocked Cholesky "
+          "every tier's gram_tn runs the packed symmetric driver (the "
+          "scalar tier through the portable 8x4 microkernel); spd_inverse_* "
+          "in the scalar tier keeps the seed loops (unblocked Cholesky, "
+          "cholesky_solve(L, I)), the SIMD tiers run the blocked Cholesky "
           "(NB = 64) and the potri-style inverse gram_tn(L^-1). "
           "spd_inverse gflops credit n^3 (LAPACK potrf + potri)");
   doc.set("roofline", std::move(roofline));

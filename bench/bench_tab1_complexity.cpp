@@ -2,7 +2,9 @@
 // and communication complexities of HyLo, KFAC and standard SNGD. Each
 // stage is timed over a parameter sweep and the log-log slope is fitted;
 // communication terms are validated against the α-β model's byte counts.
+#include <algorithm>
 #include <iostream>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "hylo/linalg/id.hpp"
@@ -12,16 +14,22 @@ using namespace hylo::bench;
 
 namespace {
 
-// Median-of-3 timing of a callable.
+// Wall time of a callable: one untimed warm-up call (first-touch
+// allocation, cold caches, lazy kernel-tier resolution), then the median of
+// kTimedCalls timed calls.
+constexpr int kTimedCalls = 5;
+
 template <typename F>
-double time_once(F&& f) {
-  double best = 1e300;
-  for (int rep = 0; rep < 3; ++rep) {
+double time_median(F&& f) {
+  f();
+  std::vector<double> secs;
+  for (int rep = 0; rep < kTimedCalls; ++rep) {
     WallTimer t;
     f();
-    best = std::min(best, t.seconds());
+    secs.push_back(t.seconds());
   }
-  return best;
+  std::nth_element(secs.begin(), secs.begin() + kTimedCalls / 2, secs.end());
+  return secs[kTimedCalls / 2];
 }
 
 }  // namespace
@@ -38,7 +46,7 @@ int main() {
     for (const index_t d : {128, 256, 384, 512}) {
       const Matrix c = gram_tn(synth_capture(rng, 1, 1, 32, d, 8, 4).a[0][0]);
       xs.push_back(static_cast<real_t>(d));
-      ys.push_back(time_once([&] { damped_spd_inverse(c, 1e-3); }));
+      ys.push_back(time_median([&] { damped_spd_inverse(c, 1e-3); }));
     }
     table.add("KFAC", "inversion", "O(d^3)", "d=128..512",
               loglog_slope(xs, ys));
@@ -51,7 +59,7 @@ int main() {
     for (const index_t d : {128, 256, 512, 768}) {
       CaptureSet cap = synth_capture(rng, 1, 1, m, d, 8, 4);
       xs.push_back(static_cast<real_t>(d));
-      ys.push_back(time_once([&] { gram_tn(cap.a[0][0]); }));
+      ys.push_back(time_median([&] { gram_tn(cap.a[0][0]); }));
     }
     table.add("KFAC", "factorization", "O(m d^2)", "d=128..768",
               loglog_slope(xs, ys));
@@ -64,7 +72,7 @@ int main() {
       CaptureSet cap = synth_capture(rng, 1, 1, n, 64, 64, 4);
       const Matrix k = kernel_matrix(cap.a[0][0], cap.g[0][0]);
       xs.push_back(static_cast<real_t>(n));
-      ys.push_back(time_once([&] { damped_cholesky(k, 1e-2); }));
+      ys.push_back(time_median([&] { damped_cholesky(k, 1e-2); }));
     }
     table.add("SNGD", "inversion", "O(P^3 m^3)", "Pm=96..576",
               loglog_slope(xs, ys));
@@ -77,7 +85,7 @@ int main() {
       CaptureSet cap = synth_capture(rng, 1, 1, m, 64, 64, 4);
       const index_t r = std::max<index_t>(4, m / 10);
       xs.push_back(static_cast<real_t>(m));
-      ys.push_back(time_once([&] {
+      ys.push_back(time_median([&] {
         const Matrix q = kernel_matrix(cap.a[0][0], cap.g[0][0]);
         row_interpolative_decomposition(q, r);
       }));
@@ -93,7 +101,7 @@ int main() {
     for (const index_t r : {32, 64, 128, 192}) {
       CaptureSet cap = synth_capture(rng, 1, 1, r, d, d, 4);
       xs.push_back(static_cast<real_t>(r));
-      ys.push_back(time_once([&] {
+      ys.push_back(time_median([&] {
         const Matrix k = kernel_matrix(cap.a[0][0], cap.g[0][0]);
         damped_cholesky(k, 1e-2);
       }));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -308,20 +309,32 @@ Rng::State read_rng_state(ByteReader& r) {
 
 // ------------------------------------------------------------------- config
 
+namespace {
+
+// A non-negative integer spelled in full: a malformed value fails naming
+// the variable instead of reading as 0 (checkpointing off) or as the
+// leading digits of "5x".
+index_t env_count(const char* name, index_t fallback) {
+  const char* env = std::getenv(name);
+  if (env == nullptr || *env == '\0') return fallback;
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(env, &end, 10);
+  HYLO_CHECK(end != nullptr && *end == '\0' && errno == 0 && v >= 0,
+             "" << name << " must be a non-negative integer, got '" << env
+                << "'");
+  return static_cast<index_t>(v);
+}
+
+}  // namespace
+
 std::optional<CkptConfig> CkptConfig::from_env() {
   const char* dir = std::getenv("HYLO_CKPT_DIR");
   if (dir == nullptr || *dir == '\0') return std::nullopt;
   CkptConfig cfg;
   cfg.dir = dir;
-  cfg.every = 50;
-  if (const char* every = std::getenv("HYLO_CKPT_EVERY");
-      every != nullptr && *every != '\0')
-    cfg.every = static_cast<index_t>(std::atoll(every));
-  if (const char* keep = std::getenv("HYLO_CKPT_KEEP");
-      keep != nullptr && *keep != '\0')
-    cfg.keep = static_cast<index_t>(std::atoll(keep));
-  HYLO_CHECK(cfg.every >= 0 && cfg.keep >= 0,
-             "HYLO_CKPT_EVERY / HYLO_CKPT_KEEP must be non-negative");
+  cfg.every = env_count("HYLO_CKPT_EVERY", 50);
+  cfg.keep = env_count("HYLO_CKPT_KEEP", cfg.keep);
   return cfg;
 }
 

@@ -31,7 +31,9 @@ class Linear : public Layer {
   Matrix x_aug_;  // cached augmented input of the last forward
 };
 
-/// 2-D convolution implemented as im2col + GEMM. Weight layout:
+/// 2-D convolution as a GEMM over im2col patches, fused into the packed
+/// core's pack (gemm_packed.hpp): no patch matrix is materialized, and
+/// backward regenerates patches from the layer input. Weight layout:
 /// W_aug ∈ R^{c_out x (c_in*k*k + 1)}.
 class Conv2d : public Layer {
  public:
@@ -53,10 +55,6 @@ class Conv2d : public Layer {
   ParamBlock params_;
   // Geometry plus im2col offset tables, built once in infer_shape.
   ConvPlan plan_;
-  // Per-sample im2col cache from forward — scalar kernel tier only. The
-  // SIMD tiers fuse im2col into the packed conv GEMM (gemm_packed.hpp) and
-  // never fill it; backward regenerates patches from the layer input.
-  std::vector<Matrix> cols_;
 };
 
 /// Per-channel batch normalization (NCHW). Scale/shift are first-order

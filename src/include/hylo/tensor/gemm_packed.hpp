@@ -1,31 +1,34 @@
 #pragma once
 /// \file gemm_packed.hpp
-/// Packed, cache-blocked GEMM with explicit SIMD microkernels — the
-/// DESIGN.md §13 fast path behind hylo::gemm/gemm_tn/gemm_nt, gram_nt and
-/// gram_tn, the blocked Cholesky's trailing update (and through it the
-/// potri-style SPD inverse), and the fused-im2col convolution. Layout
-/// (BLIS-style):
+/// Packed, cache-blocked GEMM — the one DESIGN.md §13 path behind
+/// hylo::gemm/gemm_tn/gemm_nt, gram_nt and gram_tn, the blocked Cholesky's
+/// trailing update (and through it the potri-style SPD inverse), and the
+/// fused-im2col convolution, in every kernel tier. Layout (BLIS-style):
 ///
 ///   * B is packed once per call into KC-deep blocks of NR-wide column
 ///     panels (`bpack[q][kk*NR + c]`), A is packed per (MC, KC) block into
 ///     MR-tall row panels (`apack[p][kk*MR + r]`), alpha folded into A.
-///   * An MRxNR register-tiled microkernel (8x4 AVX2 / 8x8 AVX-512 /
-///     8x4 NEON, selected by hylo::kern::active()) accumulates
-///     C-tile += Apanel · Bpanel with the k loop innermost.
+///   * An MRxNR microkernel, selected by hylo::kern::active(), accumulates
+///     C-tile += Apanel · Bpanel with the k loop innermost: a portable
+///     plain-C++ 8x4 tile in the scalar tier, register-tiled 8x4 AVX2 /
+///     8x8 AVX-512 / 8x4 NEON kernels in the SIMD tiers.
 ///   * Edge tiles (m % MR, n % NR, and the symmetric driver's diagonal
 ///     straddle) run the same microkernel on a copy-in/copy-out scratch
-///     tile, so every element sees the identical fma chain regardless of
-///     tiling.
+///     tile, so every element sees the identical multiply-add chain
+///     regardless of tiling.
 ///
 /// Determinism: for each C element the accumulation is strictly ascending in
 /// k (KC blocks outermost, kk inside the microkernel), independent of the
 /// thread partition, tile alignment, or edge handling — results are bitwise
 /// identical at any thread count within a tier. Packed entry points
-/// partition output rows through hylo::par with an MR-aligned grain and
-/// declare the same audit footprints as the scalar kernels.
+/// partition output rows through hylo::par with an MR-aligned grain. The
+/// scalar tier's microkernel adds `a * b` onto each element exactly as the
+/// seed loop nests did, so where their per-element order was one running
+/// sum from C in k-ascending order (gemm, gemm_tn, gemm_tn_diag, gram_nt,
+/// gram_tn, gemm_nt at alpha = 1) it reproduces them bit for bit.
 ///
 /// All packed_gemm_* entry points accumulate alpha * op(A)·op(B) onto an
-/// already beta-prepared C and require kern::active() != Tier::kScalar.
+/// already beta-prepared C.
 
 #include <vector>
 
@@ -106,13 +109,17 @@ enum ScratchSlot : int {
 /// conv's parallel chunks, which never run a packed_gemm_* of their own.
 std::vector<real_t>& tl_scratch(int slot);
 
-// ---- Fused-im2col convolution (SIMD tiers) ----------------------------
+// ---- Fused-im2col convolution ------------------------------------------
 // The conv GEMM consumes im2col patches straight from the sample: each call
 // copies it into a zero-bordered kScratchConvPlane plane and pack_b reads
 // patch elements through the layer's ConvPlan offset tables, so no
 // per-sample patch matrix is ever materialized. These functions are serial
 // by design — Conv2d parallelizes over samples (forward/dgrad) and output
-// channels (wgrad) around them.
+// channels (wgrad) around them. In the scalar tier the output, the data
+// gradient and the weight gradient's kernel columns equal the seed's
+// materialized-im2col loops bit for bit; the bias column (summed into gw
+// per position, not per sample first) and the forward capture (summed per
+// NR panel) are reassociated.
 
 /// Prepacked conv weight operand. `data` holds MR (A-side) or NR (B-side)
 /// interleaved panels of W_main per KC block; `bias` is w(:, patch)

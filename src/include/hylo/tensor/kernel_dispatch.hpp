@@ -2,9 +2,11 @@
 /// \file kernel_dispatch.hpp
 /// hylo::kern — runtime kernel-tier dispatch for the dense-compute core.
 ///
-/// The GEMM family (DESIGN.md §13) ships with one scalar implementation and
-/// a packed, register-tiled SIMD implementation per vector ISA. Which one
-/// runs is a process-wide *tier*, resolved once at first use:
+/// The GEMM family (DESIGN.md §13) runs through one packed, cache-blocked
+/// driver; a tier is the microkernel it calls (a portable plain-C++ tile,
+/// or a register-tiled SIMD tile per vector ISA) plus the matching vector
+/// helpers. Which one runs is a process-wide *tier*, resolved once at first
+/// use:
 ///
 ///   1. `HYLO_KERNEL` environment variable: `scalar`, `avx2`, `avx512`,
 ///      `neon`, or `native` (best tier the CPU supports). Unknown names and
@@ -14,10 +16,11 @@
 ///      (tests, benches); explicit config wins over the environment.
 ///
 /// Determinism contract per tier (DESIGN.md §13): results are bitwise
-/// identical at any thread count *within* a tier; the scalar tier preserves
-/// the original serial accumulation order exactly (CI's bitwise lanes pin
-/// `HYLO_KERNEL=scalar`). SIMD tiers reassociate k-accumulation relative to
-/// scalar, so cross-tier comparisons use norm-relative tolerances.
+/// identical at any thread count *within* a tier; the scalar tier keeps the
+/// seed loops' per-element accumulation order wherever the packed order can
+/// (CI's bitwise lanes pin `HYLO_KERNEL=scalar`). SIMD tiers reassociate
+/// k-accumulation relative to scalar, so cross-tier comparisons use
+/// norm-relative tolerances.
 
 #include <string>
 
@@ -25,7 +28,7 @@ namespace hylo::kern {
 
 /// Kernel tiers, ordered by preference (higher = wider vectors).
 enum class Tier {
-  kScalar = 0,  ///< portable loop nests; the seed's bitwise-stable path
+  kScalar = 0,  ///< portable C++ microkernel and loops; the bitwise anchor
   kNeon = 1,    ///< aarch64 NEON, 2 doubles/vector
   kAvx2 = 2,    ///< x86 AVX2+FMA, 4 doubles/vector
   kAvx512 = 3,  ///< x86 AVX-512F/DQ, 8 doubles/vector

@@ -1,15 +1,16 @@
 #pragma once
 /// \file ops.hpp
-/// BLAS-style dense kernels on Matrix. All GEMM variants are blocked and
-/// written cache-friendly for row-major storage; they are the compute
-/// backbone of both the NN framework (conv = im2col + gemm) and the
-/// second-order machinery (Gram/kernel matrices, SMW applications).
-/// The GEMM/Gram family is multi-threaded over output row blocks through
-/// hylo::par (HYLO_NUM_THREADS) and dispatches between the scalar loop
-/// nests below and the packed SIMD microkernels (gemm_packed.hpp) via
+/// BLAS-style dense kernels on Matrix. The GEMM/Gram family runs through
+/// the packed, cache-blocked core (gemm_packed.hpp) in every kernel tier;
+/// it is the compute backbone of both the NN framework (conv = fused
+/// im2col + GEMM) and the second-order machinery (Gram/kernel matrices,
+/// SMW applications). The family is multi-threaded over output row blocks
+/// through hylo::par (HYLO_NUM_THREADS) and picks its microkernel via
 /// hylo::kern::active() (HYLO_KERNEL). Results are bitwise deterministic at
-/// any thread count *within a kernel tier*; the scalar tier preserves the
-/// original serial accumulation order exactly — see DESIGN.md §8 and §13.
+/// any thread count *within a kernel tier*; the scalar tier's portable
+/// microkernel reproduces the seed loop nests bit for bit except gemm_nt
+/// at alpha != 1 or beta != 0 (alpha is folded into A before the sum) —
+/// see DESIGN.md §8 and §13.
 
 #include <vector>
 

@@ -1,9 +1,11 @@
 #pragma once
 /// \file tensor4.hpp
 /// 4-D NCHW tensor for the NN framework, plus im2col/col2im. Convolutions are
-/// implemented as im2col + GEMM; the same im2col rows feed the SNGD-for-CNNs
-/// extension (Sec. IV of the paper), which spatial-sums them into the
-/// per-sample input matrix A.
+/// an im2col GEMM whose patches the packed core reads in place through a
+/// ConvPlan (gemm_packed.hpp), so Conv2d never materializes `im2col`; the
+/// materialized form stays as the reference the conv tests compare against.
+/// The same im2col rows feed the SNGD-for-CNNs extension (Sec. IV of the
+/// paper), which spatial-sums them into the per-sample input matrix A.
 
 #include <algorithm>
 #include <vector>

@@ -3,8 +3,6 @@
 #include "hylo/nn/layers.hpp"
 #include "hylo/par/thread_pool.hpp"
 #include "hylo/tensor/gemm_packed.hpp"
-#include "hylo/tensor/kernel_dispatch.hpp"
-#include "hylo/tensor/ops.hpp"
 
 namespace hylo {
 
@@ -45,80 +43,30 @@ void Conv2d::forward(const std::vector<const Tensor4*>& in, Tensor4& out,
   const index_t n = x.n(), oh = geom.out_h(), ow = geom.out_w();
   const index_t s = oh * ow, patch = geom.patch_size();
   out.resize(n, out_channels_, oh, ow);
-  if (ctx.capture) {
-    params_.a_samples.resize(n, patch + 1);
-  }
+  if (ctx.capture) params_.a_samples.resize(n, patch + 1);
 
-  if (kern::active() != kern::Tier::kScalar) {
-    // Fused-im2col path (DESIGN.md §13): the conv GEMM consumes patches
-    // straight from the NCHW sample, so no per-sample patch matrix is ever
-    // materialized — backward re-fuses from in[0] instead of a cols_ cache.
-    const kern::PackedW pw = kern::pack_conv_forward_w(params_.w);
-    par::parallel_for(
-        0, n, 1,
-        [&](index_t n0, index_t n1) {
-          for (index_t i = n0; i < n1; ++i) {
-            real_t* capture =
-                ctx.capture ? params_.a_samples.row_ptr(i) : nullptr;
-            kern::packed_conv_forward(pw, x.sample_ptr(i), plan_,
-                                      out.sample_ptr(i), capture);
-            if (capture != nullptr) capture[patch] = static_cast<real_t>(s);
-          }
-        },
-        "nn/conv2d_fwd",
-        audit::Footprint([&](index_t n0, index_t n1, audit::WriteSet& ws) {
-          ws.add_samples(out, n0, n1);
-          if (ctx.capture) ws.add_rows(params_.a_samples, n0, n1);
-        }));
-    return;
-  }
-
-  cols_.resize(static_cast<std::size_t>(n));
-  // Batch-parallel: every sample writes disjoint state (its cols_ slot, its
-  // output plane, its a_samples row), so any partition is bitwise identical
-  // to the serial loop. The s x c_out scratch is per chunk.
+  // Fused im2col (DESIGN.md §13): the conv GEMM consumes patches straight
+  // from the NCHW sample, so no per-sample patch matrix is ever
+  // materialized; backward re-fuses from in[0]. Every sample writes
+  // disjoint state (its output plane, its a_samples row), so any
+  // partition is bitwise identical to the serial loop.
+  const kern::PackedW pw = kern::pack_conv_forward_w(params_.w);
   par::parallel_for(
       0, n, 1,
       [&](index_t n0, index_t n1) {
-        Matrix y;  // s x c_out scratch
         for (index_t i = n0; i < n1; ++i) {
-          Matrix& cols = cols_[static_cast<std::size_t>(i)];
-          im2col(x.sample_ptr(i), plan_, cols);
-          // y = cols · W_mainᵀ + bias. W columns [0, patch) are the kernel,
-          // column `patch` is the bias.
-          y.resize(s, out_channels_);
-          for (index_t p = 0; p < s; ++p) {
-            const real_t* cp = cols.row_ptr(p);
-            real_t* yp = y.row_ptr(p);
-            for (index_t o = 0; o < out_channels_; ++o) {
-              const real_t* wo = params_.w.row_ptr(o);
-              real_t acc = wo[patch];  // bias
-              for (index_t j = 0; j < patch; ++j) acc += wo[j] * cp[j];
-              yp[o] = acc;
-            }
-          }
-          // Scatter s x c_out into the NCHW output plane.
-          real_t* dst = out.sample_ptr(i);
-          for (index_t o = 0; o < out_channels_; ++o)
-            for (index_t p = 0; p < s; ++p) dst[o * s + p] = y(p, o);
-          if (ctx.capture) {
-            // Sec. IV spatial-sum: x̂_i = Σ_p cols(p,:); augmentation column
-            // = S so the bias block of ĝ_i â_iᵀ matches Σ_p g_p [x_p; 1]ᵀ
-            // exactly in the bias coordinate.
-            real_t* arow = params_.a_samples.row_ptr(i);
-            for (index_t j = 0; j < patch; ++j) {
-              real_t acc = 0.0;
-              for (index_t p = 0; p < s; ++p) acc += cols(p, j);
-              arow[j] = acc;
-            }
-            arow[patch] = static_cast<real_t>(s);
-          }
+          real_t* capture =
+              ctx.capture ? params_.a_samples.row_ptr(i) : nullptr;
+          kern::packed_conv_forward(pw, x.sample_ptr(i), plan_,
+                                    out.sample_ptr(i), capture);
+          // Sec. IV spatial sum: the augmentation column is S, so the bias
+          // block of ĝ_i â_iᵀ matches Σ_p g_p [x_p; 1]ᵀ exactly.
+          if (capture != nullptr) capture[patch] = static_cast<real_t>(s);
         }
       },
       "nn/conv2d_fwd",
       audit::Footprint([&](index_t n0, index_t n1, audit::WriteSet& ws) {
         ws.add_samples(out, n0, n1);
-        ws.add_range(cols_.data(), n0, n1);
         if (ctx.capture) ws.add_rows(params_.a_samples, n0, n1);
       }));
 }
@@ -133,80 +81,28 @@ void Conv2d::backward(const std::vector<const Tensor4*>& in,
   Tensor4& gin = *grad_in[0];
   if (ctx.capture) params_.g_samples.resize(n, out_channels_);
 
-  if (kern::active() != kern::Tier::kScalar) {
-    const Tensor4& x = *in[0];
-    // Fused weight gradient: gw rows [o0, o1) accumulate
-    // gout[i][o0:o1, :] · [cols(x_i) | 1] per sample through the packed
-    // microkernel, patches regenerated on the fly. Grain 8 keeps chunk
-    // boundaries aligned with the MR=8 row panels. Per gw element the
-    // accumulation is sample-ascending then position-ascending regardless
-    // of the channel partition — bitwise identical at any thread count
-    // within the tier.
-    par::parallel_for(
-        0, out_channels_, 8,
-        [&](index_t o0, index_t o1) {
-          for (index_t i = 0; i < n; ++i)
-            kern::packed_conv_wgrad(gout.sample_ptr(i), x.sample_ptr(i),
-                                    plan_, params_.gw, o0, o1);
-          if (ctx.capture) {
-            for (index_t o = o0; o < o1; ++o)
-              for (index_t i = 0; i < n; ++i) {
-                const real_t* src = gout.sample_ptr(i) + o * s;
-                real_t bias_acc = 0.0;
-                for (index_t p = 0; p < s; ++p) bias_acc += src[p];
-                params_.g_samples(i, o) = bias_acc * static_cast<real_t>(n);
-              }
-          }
-        },
-        "nn/conv2d_wgrad",
-        audit::Footprint([&](index_t o0, index_t o1, audit::WriteSet& ws) {
-          ws.add_rows(params_.gw, o0, o1);
-          if (ctx.capture) ws.add_cols(params_.g_samples, o0, o1);
-        }));
-
-    // Fused input gradient: dcols = gout_planeᵀ · W_main against a weight
-    // operand packed once per call, then col2im back into the sample plane.
-    const kern::PackedW pwd = kern::pack_conv_dgrad_w(params_.w);
-    par::parallel_for(
-        0, n, 1,
-        [&](index_t n0, index_t n1) {
-          Matrix dcols;
-          for (index_t i = n0; i < n1; ++i) {
-            dcols.resize(s, patch);  // resize zero-fills
-            kern::packed_conv_dcols(gout.sample_ptr(i), pwd, geom, dcols);
-            col2im_add(dcols, plan_, gin.sample_ptr(i));
-          }
-        },
-        "nn/conv2d_dgrad", audit::sample_block(gin));
-    return;
-  }
-
-  // Weight/bias gradient, channel-parallel: each gw row belongs to exactly
-  // one output channel, so partitioning over channels gives disjoint writes
-  // while each element still accumulates samples in i-ascending, position-
-  // ascending order — the exact serial order, hence bitwise identical. The
-  // per-channel output-grad plane gout[i][o] is contiguous, so no s x c_out
-  // transpose is materialized.
+  const Tensor4& x = *in[0];
+  // Fused weight gradient: gw rows [o0, o1) accumulate
+  // gout[i][o0:o1, :] · [cols(x_i) | 1] per sample through the packed
+  // microkernel, patches regenerated on the fly. Grain 8 keeps chunk
+  // boundaries aligned with the MR=8 row panels. Per gw element the
+  // accumulation is sample-ascending then position-ascending regardless
+  // of the channel partition — bitwise identical at any thread count
+  // within the tier.
   par::parallel_for(
-      0, out_channels_, 1,
+      0, out_channels_, 8,
       [&](index_t o0, index_t o1) {
-        for (index_t o = o0; o < o1; ++o) {
-          real_t* go = params_.gw.row_ptr(o);
-          for (index_t i = 0; i < n; ++i) {
-            const real_t* src = gout.sample_ptr(i) + o * s;
-            const Matrix& cols = cols_[static_cast<std::size_t>(i)];
-            real_t bias_acc = 0.0;
-            for (index_t p = 0; p < s; ++p) {
-              const real_t g = src[p];
-              if (g == 0.0) continue;
-              bias_acc += g;
-              const real_t* cp = cols.row_ptr(p);
-              for (index_t j = 0; j < patch; ++j) go[j] += g * cp[j];
-            }
-            go[patch] += bias_acc;
-            if (ctx.capture)
+        for (index_t i = 0; i < n; ++i)
+          kern::packed_conv_wgrad(gout.sample_ptr(i), x.sample_ptr(i), plan_,
+                                  params_.gw, o0, o1);
+        if (ctx.capture) {
+          for (index_t o = o0; o < o1; ++o)
+            for (index_t i = 0; i < n; ++i) {
+              const real_t* src = gout.sample_ptr(i) + o * s;
+              real_t bias_acc = 0.0;
+              for (index_t p = 0; p < s; ++p) bias_acc += src[p];
               params_.g_samples(i, o) = bias_acc * static_cast<real_t>(n);
-          }
+            }
         }
       },
       "nn/conv2d_wgrad",
@@ -215,29 +111,20 @@ void Conv2d::backward(const std::vector<const Tensor4*>& in,
         if (ctx.capture) ws.add_cols(params_.g_samples, o0, o1);
       }));
 
-  // Input gradient, batch-parallel: dcols = gy · W_main per sample, scattered
-  // back with col2im into that sample's disjoint gin plane.
+  // Fused input gradient: dcols = gout_planeᵀ · W_main against a weight
+  // operand packed once per call, then col2im back into the sample plane.
+  const kern::PackedW pwd = kern::pack_conv_dgrad_w(params_.w);
   par::parallel_for(
       0, n, 1,
       [&](index_t n0, index_t n1) {
         Matrix dcols;
         for (index_t i = n0; i < n1; ++i) {
-          const real_t* src = gout.sample_ptr(i);
-          dcols.resize(s, patch);
-          for (index_t p = 0; p < s; ++p) {
-            real_t* dp = dcols.row_ptr(p);
-            for (index_t o = 0; o < out_channels_; ++o) {
-              const real_t g = src[o * s + p];
-              if (g == 0.0) continue;
-              const real_t* wo = params_.w.row_ptr(o);
-              for (index_t j = 0; j < patch; ++j) dp[j] += g * wo[j];
-            }
-          }
+          dcols.resize(s, patch);  // resize zero-fills
+          kern::packed_conv_dcols(gout.sample_ptr(i), pwd, geom, dcols);
           col2im_add(dcols, plan_, gin.sample_ptr(i));
         }
       },
       "nn/conv2d_dgrad", audit::sample_block(gin));
-  (void)in;
 }
 
 }  // namespace hylo

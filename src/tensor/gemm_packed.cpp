@@ -38,6 +38,27 @@ constexpr index_t kMaxNR = 8;
 using MicroFn = void (*)(index_t kc, const real_t* ap, const real_t* bp,
                          real_t* c, index_t ldc);
 
+/// The scalar tier's microkernel: plain C++, one accumulator per C element
+/// seeded from C, `acc += a[r] * b[l]` with k ascending. That is the seed
+/// loop nests' per-element operation sequence, so each product-and-add
+/// rounds as theirs did under the same compiler flags (fused where the
+/// build contracts FMA, twice where it does not).
+void micro_portable_8x4(index_t kc, const real_t* ap, const real_t* bp,
+                        real_t* c, index_t ldc) {
+  constexpr index_t MR = 8, NR = 4;
+  real_t acc[MR * NR];
+  for (index_t r = 0; r < MR; ++r)
+    for (index_t l = 0; l < NR; ++l) acc[r * NR + l] = c[r * ldc + l];
+  for (index_t k = 0; k < kc; ++k) {
+    const real_t* a = ap + k * MR;
+    const real_t* b = bp + k * NR;
+    for (index_t r = 0; r < MR; ++r)
+      for (index_t l = 0; l < NR; ++l) acc[r * NR + l] += a[r] * b[l];
+  }
+  for (index_t r = 0; r < MR; ++r)
+    for (index_t l = 0; l < NR; ++l) c[r * ldc + l] = acc[r * NR + l];
+}
+
 #if defined(__x86_64__) || defined(__i386__)
 
 __attribute__((target("avx2,fma"))) void micro_avx2_8x4(index_t kc,
@@ -351,9 +372,7 @@ TierCfg tier_cfg(Tier t) {
     default:
       break;
   }
-  HYLO_CHECK(false, "packed GEMM requires a SIMD kernel tier (active: "
-                        << tier_name(t) << ")");
-  return {};  // unreachable
+  return {8, 4, micro_portable_8x4};
 }
 
 /// Pack rows [i0, i0+mc) x [k0, k0+kc) of a logical operand into MR-tall

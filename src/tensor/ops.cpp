@@ -5,20 +5,12 @@
 
 #include "hylo/par/thread_pool.hpp"
 #include "hylo/tensor/gemm_packed.hpp"
-#include "hylo/tensor/kernel_dispatch.hpp"
 
 namespace hylo {
 
 namespace {
-// Cache blocking parameters: tuned for ~32KB L1d with doubles. The kernels
-// below use an i-k-j loop order so the innermost loop streams rows of B and
-// C, which vectorizes well for row-major storage.
-constexpr index_t kBlockI = 64;
-constexpr index_t kBlockK = 64;
-constexpr index_t kBlockJ = 256;
-
-// Shared prologue of the three GEMM variants: shape the output and fold in
-// beta. C(i,j) += alpha * (A·B)(i,j) afterwards is bitwise equal to the
+// Shared prologue of the GEMM variants: shape the output and fold in beta.
+// C(i,j) += alpha * (A·B)(i,j) afterwards is bitwise equal to the
 // single-pass "alpha*acc + beta*c" epilogue because the addition commutes.
 void prepare_c(Matrix& c, index_t m, index_t n, real_t beta,
                const char* kernel) {
@@ -31,62 +23,6 @@ void prepare_c(Matrix& c, index_t m, index_t n, real_t beta,
   else if (beta != 1.0)  // hylo-lint: allow(float_compare: exactly 1.0 means skip the scale; a tolerance would corrupt C)
     c *= beta;
 }
-
-// C rows [i0, i1) of C = alpha * A B + (already-applied beta) * C. Each
-// output row accumulates over k in ascending order whatever the row
-// partition, so the parallel result is bitwise identical to the serial one.
-void gemm_rows(const Matrix& a, const Matrix& b, Matrix& c, real_t alpha,
-               index_t i0, index_t i1) {
-  const index_t k = a.cols(), n = b.cols();
-  for (index_t ib = i0; ib < i1; ib += kBlockI)
-    for (index_t kb = 0; kb < k; kb += kBlockK)
-      for (index_t jb = 0; jb < n; jb += kBlockJ) {
-        const index_t iend = std::min(ib + kBlockI, i1);
-        const index_t kend = std::min(kb + kBlockK, k);
-        const index_t jend = std::min(jb + kBlockJ, n);
-        for (index_t i = ib; i < iend; ++i) {
-          real_t* ci = c.row_ptr(i);
-          const real_t* ai = a.row_ptr(i);
-          // No `aik == 0.0` early-out here: a data-dependent branch in the
-          // hottest loop defeats vectorization and only pays off for
-          // pathological sparsity (see BENCH_gemm.json notes.early_out).
-          for (index_t kk = kb; kk < kend; ++kk) {
-            const real_t aik = alpha * ai[kk];
-            const real_t* bk = b.row_ptr(kk);
-            for (index_t j = jb; j < jend; ++j) ci[j] += aik * bk[j];
-          }
-        }
-      }
-}
-
-// Core of gemm_tn / gemm_tn_diag: C = alpha * A^T diag(s) B (+ beta * C,
-// already applied), with s == nullptr meaning the identity scaling. The k
-// loop stays outermost inside each thread's private row block of C, so per
-// element the accumulation order is k-ascending — the serial order — at any
-// thread count; the row blocks are disjoint, so the "merge" is free.
-void gemm_tn_core(const Matrix& a, const Matrix& b, const real_t* s,
-                  Matrix& c, real_t alpha) {
-  if (kern::active() != kern::Tier::kScalar) {
-    kern::packed_gemm_tn(a, s, b, c, alpha);
-    return;
-  }
-  const index_t k = a.rows(), m = a.cols(), n = b.cols();
-  par::parallel_for(
-      0, m, kBlockI,
-      [&](index_t i0, index_t i1) {
-        for (index_t kk = 0; kk < k; ++kk) {
-          const real_t* ak = a.row_ptr(kk);
-          const real_t* bk = b.row_ptr(kk);
-          const real_t scale = s == nullptr ? alpha : alpha * s[kk];
-          for (index_t i = i0; i < i1; ++i) {
-            const real_t aik = scale * ak[i];
-            real_t* ci = c.row_ptr(i);
-            for (index_t j = 0; j < n; ++j) ci[j] += aik * bk[j];
-          }
-        }
-      },
-      "tensor/gemm_tn", audit::row_block(c));
-}
 }  // namespace
 
 void gemm(const Matrix& a, const Matrix& b, Matrix& c, real_t alpha,
@@ -94,65 +30,38 @@ void gemm(const Matrix& a, const Matrix& b, Matrix& c, real_t alpha,
   const index_t m = a.rows(), k = a.cols(), n = b.cols();
   HYLO_CHECK(b.rows() == k, "gemm inner dim " << b.rows() << " != " << k);
   prepare_c(c, m, n, beta, "gemm");
-  if (kern::active() != kern::Tier::kScalar) {
-    kern::packed_gemm_nn(a, b, c, alpha);
-    return;
-  }
-  par::parallel_for(
-      0, m, kBlockI,
-      [&](index_t i0, index_t i1) { gemm_rows(a, b, c, alpha, i0, i1); },
-      "tensor/gemm", audit::row_block(c));
+  kern::packed_gemm_nn(a, b, c, alpha);
 }
 
 void gemm_tn(const Matrix& a, const Matrix& b, Matrix& c, real_t alpha,
              real_t beta) {
-  // C = alpha * A^T B + beta * C, A: k x m, B: k x n. Rank-1 updates over
-  // rows of A and B — good locality without transposing A.
+  // C = alpha * A^T B + beta * C, A: k x m, B: k x n. The A pack reads A
+  // column-wise in place, so no transposed copy is made.
   const index_t k = a.rows(), m = a.cols(), n = b.cols();
   HYLO_CHECK(b.rows() == k, "gemm_tn inner dim " << b.rows() << " != " << k);
   prepare_c(c, m, n, beta, "gemm_tn");
-  gemm_tn_core(a, b, nullptr, c, alpha);
+  kern::packed_gemm_tn(a, nullptr, b, c, alpha);
 }
 
 void gemm_tn_diag(const Matrix& a, const Matrix& s, const Matrix& b, Matrix& c,
                   real_t alpha, real_t beta) {
-  // C = alpha * A^T diag(s) B + beta * C. The scale folds into the rank-1
-  // update coefficient, so no scaled copy of A is ever materialized.
+  // C = alpha * A^T diag(s) B + beta * C. The scale folds into the A pack,
+  // so no scaled copy of A is ever materialized.
   const index_t k = a.rows();
   HYLO_CHECK(b.rows() == k, "gemm_tn_diag inner dim " << b.rows() << " != " << k);
   HYLO_CHECK(s.size() == k, "gemm_tn_diag scale length " << s.size()
                                                          << " != " << k);
   prepare_c(c, a.cols(), b.cols(), beta, "gemm_tn_diag");
-  gemm_tn_core(a, b, s.data(), c, alpha);
+  kern::packed_gemm_tn(a, s.data(), b, c, alpha);
 }
 
 void gemm_nt(const Matrix& a, const Matrix& b, Matrix& c, real_t alpha,
              real_t beta) {
-  // C = alpha * A B^T + beta * C, A: m x k, B: n x k. Inner loop is a dot of
-  // two contiguous rows; beta is folded by the shared prologue instead of a
-  // re-test in the innermost loop.
+  // C = alpha * A B^T + beta * C, A: m x k, B: n x k.
   const index_t m = a.rows(), k = a.cols(), n = b.rows();
   HYLO_CHECK(b.cols() == k, "gemm_nt inner dim " << b.cols() << " != " << k);
   prepare_c(c, m, n, beta, "gemm_nt");
-  if (kern::active() != kern::Tier::kScalar) {
-    kern::packed_gemm_nt(a, b, c, alpha);
-    return;
-  }
-  par::parallel_for(
-      0, m, kBlockI,
-      [&](index_t i0, index_t i1) {
-        for (index_t i = i0; i < i1; ++i) {
-          const real_t* ai = a.row_ptr(i);
-          real_t* ci = c.row_ptr(i);
-          for (index_t j = 0; j < n; ++j) {
-            const real_t* bj = b.row_ptr(j);
-            real_t acc = 0.0;
-            for (index_t kk = 0; kk < k; ++kk) acc += ai[kk] * bj[kk];
-            ci[j] += alpha * acc;
-          }
-        }
-      },
-      "tensor/gemm_nt", audit::row_block(c));
+  kern::packed_gemm_nt(a, b, c, alpha);
 }
 
 Matrix matmul(const Matrix& a, const Matrix& b) {
@@ -174,66 +83,16 @@ Matrix matmul_nt(const Matrix& a, const Matrix& b) {
 }
 
 Matrix gram_nt(const Matrix& a) {
-  const index_t m = a.rows(), k = a.cols();
+  const index_t m = a.rows();
   Matrix c(m, m);
-  if (kern::active() != kern::Tier::kScalar) {
-    kern::packed_gram_nt(a, c);
-    return c;
-  }
-  // Each (i, j) pair with i <= j is computed by exactly one thread (the one
-  // owning row i) and written to both mirror slots — disjoint elements, so
-  // the row partition is race-free and bitwise deterministic. Grain 8 keeps
-  // the triangular row costs reasonably balanced across chunks.
-  par::parallel_for(
-      0, m, 8,
-      [&](index_t i0, index_t i1) {
-        for (index_t i = i0; i < i1; ++i) {
-          const real_t* ai = a.row_ptr(i);
-          for (index_t j = i; j < m; ++j) {
-            const real_t* aj = a.row_ptr(j);
-            real_t acc = 0.0;
-            for (index_t kk = 0; kk < k; ++kk) acc += ai[kk] * aj[kk];
-            c(i, j) = acc;
-            c(j, i) = acc;
-          }
-        }
-      },
-      "tensor/gram_nt",
-      audit::Footprint([&c](index_t i0, index_t i1, audit::WriteSet& ws) {
-        ws.add_row_tail(c, i0, i1);
-        ws.add_col_tail(c, i0, i1);
-      }));
+  kern::packed_gram_nt(a, c);
   return c;
 }
 
 Matrix gram_tn(const Matrix& a) {
-  const index_t m = a.rows(), k = a.cols();
+  const index_t k = a.cols();
   Matrix c(k, k);
-  if (kern::active() != kern::Tier::kScalar) {
-    kern::packed_gram_tn(a, c);
-    return c;
-  }
-  // Rank-1 accumulation over rows of A; the r loop stays outermost inside
-  // each thread's private block of output rows, so every element sums in
-  // r-ascending (serial) order. Fill upper triangle then mirror.
-  par::parallel_for(
-      0, k, 8,
-      [&](index_t i0, index_t i1) {
-        for (index_t r = 0; r < m; ++r) {
-          const real_t* ar = a.row_ptr(r);
-          for (index_t i = i0; i < i1; ++i) {
-            const real_t v = ar[i];
-            real_t* ci = c.row_ptr(i);
-            for (index_t j = i; j < k; ++j) ci[j] += v * ar[j];
-          }
-        }
-      },
-      "tensor/gram_tn",
-      audit::Footprint([&c](index_t i0, index_t i1, audit::WriteSet& ws) {
-        ws.add_row_tail(c, i0, i1);
-      }));
-  for (index_t i = 0; i < k; ++i)
-    for (index_t j = 0; j < i; ++j) c(i, j) = c(j, i);
+  kern::packed_gram_tn(a, c);
   return c;
 }
 

@@ -233,6 +233,29 @@ TEST(SnapshotContainer, EnvConfigResolution) {
   unsetenv("HYLO_CKPT_KEEP");
 }
 
+TEST(SnapshotContainer, EnvConfigRejectsMalformedCounts) {
+  setenv("HYLO_CKPT_DIR", "/tmp/hylo_env_snaps", 1);
+  // "abc" used to read as 0 (checkpointing silently off), "5x" as 5.
+  for (const char* var : {"HYLO_CKPT_EVERY", "HYLO_CKPT_KEEP"}) {
+    for (const char* bad : {"abc", "5x", " ", "-1", "1e3",
+                            "99999999999999999999"}) {
+      setenv(var, bad, 1);
+      try {
+        (void)ckpt::CkptConfig::from_env();
+        ADD_FAILURE() << var << "='" << bad << "' was accepted";
+      } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find(var), std::string::npos)
+            << e.what();
+      }
+    }
+    unsetenv(var);
+  }
+  setenv("HYLO_CKPT_EVERY", "0", 1);
+  EXPECT_EQ(ckpt::CkptConfig::from_env()->every, 0);
+  unsetenv("HYLO_CKPT_DIR");
+  unsetenv("HYLO_CKPT_EVERY");
+}
+
 // ---------------------------------------------------------------------------
 // Bitwise interrupt/resume
 

@@ -5,8 +5,9 @@
 // identical at 1/2/7 threads *within* each available tier; (3) cross-tier
 // accuracy — SIMD tiers reassociate the k-accumulation, so scalar-vs-SIMD
 // drift is bounded with norm-relative tolerances on random and adversarial
-// (large exponent spread) inputs, and the fused-im2col conv matches the
-// scalar materialized-im2col path to the same bounds.
+// (large exponent spread) inputs. Copies of the replaced seed loops (GEMM
+// family, materialized-im2col conv, factor and KID kernels) pin which
+// results each tier still reproduces bit for bit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -1121,6 +1122,327 @@ TEST_F(KernelTiers, BlockDiagInverseMatchesFullInverseBitwise) {
   parts[2] = Matrix(7, 7);
   Matrix m = base;
   EXPECT_THROW(add_block_diag_inverse(m, parts), Error);
+}
+
+// ---- One packed path: the GEMM family and the conv passes ---------------
+// Every GEMM-family entry and both Conv2d passes run the packed driver in
+// every tier; the scalar tier's portable microkernel adds `a * b` onto one
+// running value per element, k ascending. Below are verbatim copies of the
+// loop nests the scalar tier ran before (ops.cpp's blocked i-k-j gemm, the
+// rank-1 gemm_tn, the row-dot gemm_nt and gram_nt, and Conv2d's
+// materialized-im2col passes). Where their per-element order was one
+// running sum from C, the packed path must reproduce them bit for bit.
+
+constexpr index_t kSeedBlockI = 64;
+constexpr index_t kSeedBlockK = 64;
+constexpr index_t kSeedBlockJ = 256;
+
+void seed_prepare_c(Matrix& c, index_t m, index_t n, real_t beta) {
+  if (c.rows() != m || c.cols() != n) c.resize(m, n);
+  if (beta == 0.0)
+    c.zero();
+  else
+    c *= beta;
+}
+
+void seed_gemm(const Matrix& a, const Matrix& b, Matrix& c, real_t alpha,
+               real_t beta) {
+  const index_t m = a.rows(), k = a.cols(), n = b.cols();
+  seed_prepare_c(c, m, n, beta);
+  for (index_t ib = 0; ib < m; ib += kSeedBlockI)
+    for (index_t kb = 0; kb < k; kb += kSeedBlockK)
+      for (index_t jb = 0; jb < n; jb += kSeedBlockJ) {
+        const index_t iend = std::min(ib + kSeedBlockI, m);
+        const index_t kend = std::min(kb + kSeedBlockK, k);
+        const index_t jend = std::min(jb + kSeedBlockJ, n);
+        for (index_t i = ib; i < iend; ++i) {
+          real_t* ci = c.row_ptr(i);
+          const real_t* ai = a.row_ptr(i);
+          for (index_t kk = kb; kk < kend; ++kk) {
+            const real_t aik = alpha * ai[kk];
+            const real_t* bk = b.row_ptr(kk);
+            for (index_t j = jb; j < jend; ++j) ci[j] += aik * bk[j];
+          }
+        }
+      }
+}
+
+// s == nullptr is gemm_tn, otherwise gemm_tn_diag.
+void seed_gemm_tn(const Matrix& a, const real_t* s, const Matrix& b,
+                  Matrix& c, real_t alpha, real_t beta) {
+  const index_t k = a.rows(), m = a.cols(), n = b.cols();
+  seed_prepare_c(c, m, n, beta);
+  for (index_t kk = 0; kk < k; ++kk) {
+    const real_t* ak = a.row_ptr(kk);
+    const real_t* bk = b.row_ptr(kk);
+    const real_t scale = s == nullptr ? alpha : alpha * s[kk];
+    for (index_t i = 0; i < m; ++i) {
+      const real_t aik = scale * ak[i];
+      real_t* ci = c.row_ptr(i);
+      for (index_t j = 0; j < n; ++j) ci[j] += aik * bk[j];
+    }
+  }
+}
+
+void seed_gemm_nt(const Matrix& a, const Matrix& b, Matrix& c, real_t alpha,
+                  real_t beta) {
+  const index_t m = a.rows(), k = a.cols(), n = b.rows();
+  seed_prepare_c(c, m, n, beta);
+  for (index_t i = 0; i < m; ++i) {
+    const real_t* ai = a.row_ptr(i);
+    real_t* ci = c.row_ptr(i);
+    for (index_t j = 0; j < n; ++j) {
+      const real_t* bj = b.row_ptr(j);
+      real_t acc = 0.0;
+      for (index_t kk = 0; kk < k; ++kk) acc += ai[kk] * bj[kk];
+      ci[j] += alpha * acc;
+    }
+  }
+}
+
+Matrix seed_gram_nt(const Matrix& a) {
+  const index_t m = a.rows(), k = a.cols();
+  Matrix c(m, m);
+  for (index_t i = 0; i < m; ++i) {
+    const real_t* ai = a.row_ptr(i);
+    for (index_t j = i; j < m; ++j) {
+      const real_t* aj = a.row_ptr(j);
+      real_t acc = 0.0;
+      for (index_t kk = 0; kk < k; ++kk) acc += ai[kk] * aj[kk];
+      c(i, j) = acc;
+      c(j, i) = acc;
+    }
+  }
+  return c;
+}
+
+TEST_F(KernelTiers, ScalarTierGemmFamilyMatchesSeedLoops) {
+  kern::set_tier(Tier::kScalar);
+  struct Dims {
+    index_t m, k, n;
+  };
+  // Inner dimensions cross KC = 256 (261, 517) and the seed's 64-deep k
+  // blocks; m = 70 crosses MC = 64; no edge is a multiple of MR or NR.
+  const Dims dims[] = {{9, 5, 13}, {37, 261, 29}, {70, 517, 11}};
+  struct AlphaBeta {
+    real_t alpha, beta;
+  };
+  const AlphaBeta scales[] = {{1.0, 0.0}, {2.5, -0.75}, {-0.5, 0.0}, {1.0, 1.0}};
+  for (const Dims& d : dims) {
+    Rng rng(1200 + static_cast<std::uint64_t>(d.m * d.k + d.n));
+    const Matrix a = testutil::random_matrix(rng, d.m, d.k);
+    const Matrix b = testutil::random_matrix(rng, d.k, d.n);
+    const Matrix at = testutil::random_matrix(rng, d.k, d.m);
+    const Matrix bt = testutil::random_matrix(rng, d.n, d.k);
+    const Matrix y = testutil::random_matrix(rng, d.k, 1);
+    const Matrix c0 = testutil::random_matrix(rng, d.m, d.n);
+    for (const int t : {1, 3}) {
+      par::set_num_threads(t);
+      SCOPED_TRACE(::testing::Message() << d.m << "x" << d.k << "x" << d.n
+                                        << " @" << t);
+      for (const AlphaBeta& ab : scales) {
+        SCOPED_TRACE(::testing::Message()
+                     << "alpha=" << ab.alpha << " beta=" << ab.beta);
+        Matrix got = c0, want = c0;
+        gemm(a, b, got, ab.alpha, ab.beta);
+        seed_gemm(a, b, want, ab.alpha, ab.beta);
+        EXPECT_TRUE(bitwise_equal(got, want)) << "gemm";
+
+        got = c0;
+        want = c0;
+        gemm_tn(at, b, got, ab.alpha, ab.beta);
+        seed_gemm_tn(at, nullptr, b, want, ab.alpha, ab.beta);
+        EXPECT_TRUE(bitwise_equal(got, want)) << "gemm_tn";
+
+        got = c0;
+        want = c0;
+        gemm_tn_diag(at, y, b, got, ab.alpha, ab.beta);
+        seed_gemm_tn(at, y.data(), b, want, ab.alpha, ab.beta);
+        EXPECT_TRUE(bitwise_equal(got, want)) << "gemm_tn_diag";
+
+        // The packed gemm_nt folds alpha into A before the k sum, the seed
+        // loop scaled the finished dot: equal bit for bit only at the
+        // alpha = 1, beta = 0 shape the library calls.
+        got = c0;
+        want = c0;
+        gemm_nt(a, bt, got, ab.alpha, ab.beta);
+        seed_gemm_nt(a, bt, want, ab.alpha, ab.beta);
+        if (ab.alpha == 1.0 && ab.beta == 0.0)
+          EXPECT_TRUE(bitwise_equal(got, want)) << "gemm_nt";
+        else
+          EXPECT_LT(norm_rel_err(want, got), 1e-13) << "gemm_nt";
+      }
+      EXPECT_TRUE(bitwise_equal(gram_nt(a), seed_gram_nt(a))) << "gram_nt";
+      EXPECT_TRUE(bitwise_equal(gram_tn(at), seed_gram_tn(at))) << "gram_tn";
+    }
+  }
+}
+
+struct SeedConvResult {
+  Tensor4 out, gin;
+  Matrix gw, a_samples, g_samples;
+};
+
+// Conv2d's materialized-im2col forward and backward loops, with the layer
+// state passed in: w is W_aug (c_out x patch+1, bias last).
+SeedConvResult seed_conv(const Matrix& w, const ConvPlan& plan,
+                         const Tensor4& x, const Tensor4& gout) {
+  const ConvGeometry& geom = plan.geom;
+  const index_t out_channels = w.rows();
+  const index_t n = x.n(), oh = geom.out_h(), ow = geom.out_w();
+  const index_t s = oh * ow, patch = geom.patch_size();
+  SeedConvResult r;
+  r.out.resize(n, out_channels, oh, ow);
+  r.a_samples.resize(n, patch + 1);
+  std::vector<Matrix> cols_(static_cast<std::size_t>(n));
+
+  Matrix y;  // s x c_out scratch
+  for (index_t i = 0; i < n; ++i) {
+    Matrix& cols = cols_[static_cast<std::size_t>(i)];
+    im2col(x.sample_ptr(i), plan, cols);
+    y.resize(s, out_channels);
+    for (index_t p = 0; p < s; ++p) {
+      const real_t* cp = cols.row_ptr(p);
+      real_t* yp = y.row_ptr(p);
+      for (index_t o = 0; o < out_channels; ++o) {
+        const real_t* wo = w.row_ptr(o);
+        real_t acc = wo[patch];  // bias
+        for (index_t j = 0; j < patch; ++j) acc += wo[j] * cp[j];
+        yp[o] = acc;
+      }
+    }
+    real_t* dst = r.out.sample_ptr(i);
+    for (index_t o = 0; o < out_channels; ++o)
+      for (index_t p = 0; p < s; ++p) dst[o * s + p] = y(p, o);
+    real_t* arow = r.a_samples.row_ptr(i);
+    for (index_t j = 0; j < patch; ++j) {
+      real_t acc = 0.0;
+      for (index_t p = 0; p < s; ++p) acc += cols(p, j);
+      arow[j] = acc;
+    }
+    arow[patch] = static_cast<real_t>(s);
+  }
+
+  r.gw.resize(out_channels, patch + 1);
+  r.g_samples.resize(n, out_channels);
+  for (index_t o = 0; o < out_channels; ++o) {
+    real_t* go = r.gw.row_ptr(o);
+    for (index_t i = 0; i < n; ++i) {
+      const real_t* src = gout.sample_ptr(i) + o * s;
+      const Matrix& cols = cols_[static_cast<std::size_t>(i)];
+      real_t bias_acc = 0.0;
+      for (index_t p = 0; p < s; ++p) {
+        const real_t g = src[p];
+        if (g == 0.0) continue;
+        bias_acc += g;
+        const real_t* cp = cols.row_ptr(p);
+        for (index_t j = 0; j < patch; ++j) go[j] += g * cp[j];
+      }
+      go[patch] += bias_acc;
+      r.g_samples(i, o) = bias_acc * static_cast<real_t>(n);
+    }
+  }
+
+  r.gin.resize(n, geom.in_c, geom.in_h, geom.in_w);
+  Matrix dcols;
+  for (index_t i = 0; i < n; ++i) {
+    const real_t* src = gout.sample_ptr(i);
+    dcols.resize(s, patch);
+    for (index_t p = 0; p < s; ++p) {
+      real_t* dp = dcols.row_ptr(p);
+      for (index_t o = 0; o < out_channels; ++o) {
+        const real_t g = src[o * s + p];
+        if (g == 0.0) continue;
+        const real_t* wo = w.row_ptr(o);
+        for (index_t j = 0; j < patch; ++j) dp[j] += g * wo[j];
+      }
+    }
+    col2im_add(dcols, plan, r.gin.sample_ptr(i));
+  }
+  return r;
+}
+
+Matrix column(const Matrix& m, index_t j) {
+  Matrix out(m.rows(), 1);
+  for (index_t i = 0; i < m.rows(); ++i) out(i, 0) = m(i, j);
+  return out;
+}
+
+TEST_F(KernelTiers, ConvMatchesSeedIm2colLoops) {
+  struct Case {
+    index_t c, h, w, kernel, stride, pad;
+  };
+  std::vector<Case> cases;
+  for (const index_t st : {1, 2})
+    for (const index_t pd : {0, 1, 2}) cases.push_back({3, 7, 5, 3, st, pd});
+  cases.push_back({3, 7, 5, 1, 2, 0});
+  cases.push_back({12, 6, 6, 5, 1, 2});  // patch 300 crosses KC = 256
+  cases.push_back({2, 20, 15, 3, 1, 1});  // 300 positions cross KC and MC
+
+  const index_t c_out = 10, n = 3;  // c_out not a multiple of MR
+  const PassContext ctx{.training = true, .capture = true};
+  for (const Case& cs : cases) {
+    SCOPED_TRACE(::testing::Message()
+                 << "c=" << cs.c << " " << cs.h << "x" << cs.w
+                 << " k=" << cs.kernel << " stride=" << cs.stride
+                 << " pad=" << cs.pad);
+    Rng rng(static_cast<std::uint64_t>(1300 + 31 * cs.c + 7 * cs.kernel +
+                                       3 * cs.stride + cs.pad + cs.h));
+    Rng wrng(1);
+    Conv2d conv(c_out, cs.kernel, cs.stride, cs.pad, wrng);
+    const Shape out_shape = conv.infer_shape({Shape{cs.c, cs.h, cs.w}});
+    const ConvPlan plan(ConvGeometry{.in_c = cs.c, .in_h = cs.h,
+                                     .in_w = cs.w, .kernel_h = cs.kernel,
+                                     .kernel_w = cs.kernel,
+                                     .stride = cs.stride, .pad = cs.pad});
+    const index_t patch = plan.geom.patch_size();
+    const Matrix w = testutil::random_matrix(rng, c_out, patch + 1);
+    Tensor4 x(n, cs.c, cs.h, cs.w);
+    for (index_t i = 0; i < x.size(); ++i) x[i] = rng.normal();
+    // Zeros of both signs in gout (the seed loops skip g == 0), including
+    // one channel plane that is zero throughout.
+    Tensor4 gout(n, c_out, out_shape.h, out_shape.w);
+    for (index_t i = 0; i < gout.size(); ++i)
+      gout[i] = i % 5 == 1 ? 0.0 : i % 7 == 3 ? -0.0 : rng.normal();
+    const index_t s = out_shape.h * out_shape.w;
+    std::fill(gout.sample_ptr(1) + 4 * s, gout.sample_ptr(1) + 5 * s, 0.0);
+
+    const SeedConvResult want = seed_conv(w, plan, x, gout);
+    // Every tier where the build contracts `acc += a * b` into an FMA (the
+    // SIMD microkernels' chain), the scalar tier alone otherwise.
+    for (const Tier tier : kid_bitwise_tiers()) {
+      kern::set_tier(tier);
+      for (const int t : {1, 3}) {
+        par::set_num_threads(t);
+        SCOPED_TRACE(::testing::Message() << kern::tier_name(tier) << " @" << t);
+        ParamBlock& pb = *conv.param_block();
+        pb.w = w;
+        pb.gw.zero();
+        Tensor4 out;
+        conv.forward({&x}, out, ctx);
+        Tensor4 gin(n, cs.c, cs.h, cs.w);
+        conv.backward({&x}, out, gout, {&gin}, ctx);
+
+        EXPECT_TRUE(bitwise_equal(out, want.out)) << "output";
+        EXPECT_TRUE(bitwise_equal(gin, want.gin)) << "input gradient";
+        bool main_cols = true;
+        for (index_t o = 0; o < c_out; ++o)
+          main_cols = main_cols &&
+                      std::memcmp(pb.gw.row_ptr(o), want.gw.row_ptr(o),
+                                  sizeof(real_t) *
+                                      static_cast<std::size_t>(patch)) == 0;
+        EXPECT_TRUE(main_cols) << "gw kernel columns";
+        EXPECT_TRUE(bitwise_equal(pb.g_samples, want.g_samples)) << "g_samples";
+        // Reassociated: the bias column sums g into gw per position rather
+        // than per sample first, the capture sums per NR panel.
+        EXPECT_LT(norm_rel_err(column(want.gw, patch), column(pb.gw, patch)),
+                  1e-12)
+            << "gw bias column";
+        EXPECT_LT(norm_rel_err(want.a_samples, pb.a_samples), 1e-12)
+            << "a_samples";
+      }
+    }
+  }
 }
 
 }  // namespace
